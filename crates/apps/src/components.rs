@@ -10,6 +10,7 @@
 use ihtl_graph::Graph;
 
 use crate::engine::SpmvEngine;
+use crate::rows::{relax_rows, Improved};
 
 /// Result of a components run.
 #[derive(Clone, Debug)]
@@ -42,24 +43,24 @@ pub fn symmetrize(g: &Graph) -> Graph {
 /// iteration; the propagation otherwise stops at the first unchanged round.
 pub fn propagate_components(engine: &mut dyn SpmvEngine, max_rounds: usize) -> ComponentsRun {
     let n = engine.n_vertices();
-    let init: Vec<f64> = (0..n).map(|v| v as f64).collect();
-    let mut labels = engine.from_original_order(&init);
+    let init = ihtl_trace::span("driver_init");
+    let mut labels = {
+        let own: Vec<f64> = (0..n).map(|v| v as f64).collect();
+        engine.from_original_order(&own)
+    };
     let mut incoming = vec![0.0f64; n];
+    let improved = Improved::new(1);
+    drop(init);
     let mut rounds = 0;
     while rounds < max_rounds {
         engine.spmv_min(&labels, &mut incoming);
-        let mut changed = false;
-        for (l, &inc) in labels.iter_mut().zip(&incoming) {
-            if inc < *l {
-                *l = inc;
-                changed = true;
-            }
-        }
+        relax_rows(&mut labels, &incoming, |l| l, &improved);
         rounds += 1;
-        if !changed {
+        if !improved.take(0) {
             break;
         }
     }
+    let _out = ihtl_trace::span("driver_output");
     let labels = engine.to_original_order(&labels).into_iter().map(|l| l as u32).collect();
     ComponentsRun { labels, rounds }
 }

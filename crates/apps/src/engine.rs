@@ -133,16 +133,13 @@ pub trait SpmvEngine {
         spmm_by_columns(n, x, y, k, |xj, yj| self.spmv_min(xj, yj));
     }
 
-    /// [`SpmvEngine::to_original_order`] for `k` interleaved columns per
-    /// vertex — a permutation of whole `k`-wide rows.
-    fn to_original_order_multi(&self, v: &[f64], _k: usize) -> Vec<f64> {
-        v.to_vec()
-    }
-
-    /// [`SpmvEngine::from_original_order`] for `k` interleaved columns.
-    #[allow(clippy::wrong_self_convention)]
-    fn from_original_order_multi(&self, v: &[f64], _k: usize) -> Vec<f64> {
-        v.to_vec()
+    /// Engine-order row of every original vertex (`rows[original]`), or
+    /// `None` when the engine works in original order (every engine but iHTL
+    /// and the hybrid). With it a driver writes a seed or source straight
+    /// into an engine-order vector and gathers results back in the pass
+    /// that produces them, instead of permuting dense temporaries.
+    fn engine_rows(&self) -> Option<&[u32]> {
+        None
     }
 }
 
@@ -445,11 +442,8 @@ impl SpmvEngine for Ihtl {
         let i = self.multi_buf_index(k);
         self.ih.spmm::<Min>(x, y, k, &mut self.multi_bufs[i].1);
     }
-    fn to_original_order_multi(&self, v: &[f64], k: usize) -> Vec<f64> {
-        self.ih.to_old_order_multi(v, k)
-    }
-    fn from_original_order_multi(&self, v: &[f64], k: usize) -> Vec<f64> {
-        self.ih.to_new_order_multi(v, k)
+    fn engine_rows(&self) -> Option<&[u32]> {
+        Some(self.ih.old_to_new())
     }
 }
 
@@ -540,11 +534,8 @@ impl SpmvEngine for Hybrid {
         }
         self.ih.spmm_hybrid::<Min>(x, y, k, &mut self.plan);
     }
-    fn to_original_order_multi(&self, v: &[f64], k: usize) -> Vec<f64> {
-        self.ih.to_old_order_multi(v, k)
-    }
-    fn from_original_order_multi(&self, v: &[f64], k: usize) -> Vec<f64> {
-        self.ih.to_new_order_multi(v, k)
+    fn engine_rows(&self) -> Option<&[u32]> {
+        Some(self.ih.old_to_new())
     }
 }
 
@@ -635,57 +626,65 @@ mod tests {
         for kind in EngineKind::all() {
             for k in [1usize, 4, 8] {
                 let mut e = build_engine(kind, &g, &cfg);
-                // Integer-valued columns: Add is exact under any combine
-                // grouping, so bitwise identity holds on every engine.
-                let cols: Vec<Vec<f64>> = (0..k)
+                // Columns live in engine order throughout: the kernels
+                // never see original IDs. Integer-valued for Add (exact
+                // under any combine grouping, so bitwise on every engine);
+                // Min is exact on any values, so its inputs are not.
+                let add_cols: Vec<Vec<f64>> = (0..k)
                     .map(|j| (0..n).map(|i| ((i * 3 + j * 5) % 11) as f64).collect())
                     .collect();
-                let mut x_orig = vec![0.0; n * k];
-                for (j, col) in cols.iter().enumerate() {
-                    for (i, &v) in col.iter().enumerate() {
-                        x_orig[i * k + j] = v;
+                let min_cols: Vec<Vec<f64>> = (0..k)
+                    .map(|j| (0..n).map(|i| ((i * k + j) as f64) * 0.37 + 0.25).collect())
+                    .collect();
+                for (cols, add) in [(&add_cols, true), (&min_cols, false)] {
+                    let mut x_m = vec![0.0; n * k];
+                    for (j, col) in cols.iter().enumerate() {
+                        for (i, &v) in col.iter().enumerate() {
+                            x_m[i * k + j] = v;
+                        }
                     }
-                }
-                let x_m = e.from_original_order_multi(&x_orig, k);
-                let mut y_m = vec![f64::NAN; n * k];
-                e.spmm_add(&x_m, &mut y_m, k);
-                let y_back = e.to_original_order_multi(&y_m, k);
-                for (j, col) in cols.iter().enumerate() {
-                    let xe = e.from_original_order(col);
-                    let mut y = vec![f64::NAN; n];
-                    e.spmv_add(&xe, &mut y);
-                    let solo = e.to_original_order(&y);
-                    for v in 0..n {
-                        assert_eq!(
-                            y_back[v * k + j].to_bits(),
-                            solo[v].to_bits(),
-                            "{} add k={k} column {j} vertex {v}",
-                            e.label()
-                        );
+                    let mut y_m = vec![f64::NAN; n * k];
+                    if add {
+                        e.spmm_add(&x_m, &mut y_m, k);
+                    } else {
+                        e.spmm_min(&x_m, &mut y_m, k);
                     }
-                }
-                // Min is exact on any values — use non-integer inputs.
-                let x_min: Vec<f64> = (0..n * k).map(|i| (i as f64) * 0.37 + 0.25).collect();
-                let xm = e.from_original_order_multi(&x_min, k);
-                let mut ym = vec![f64::NAN; n * k];
-                e.spmm_min(&xm, &mut ym, k);
-                let ym_back = e.to_original_order_multi(&ym, k);
-                for j in 0..k {
-                    let col: Vec<f64> = (0..n).map(|i| x_min[i * k + j]).collect();
-                    let xe = e.from_original_order(&col);
-                    let mut y = vec![f64::NAN; n];
-                    e.spmv_min(&xe, &mut y);
-                    let solo = e.to_original_order(&y);
-                    for v in 0..n {
-                        assert_eq!(
-                            ym_back[v * k + j].to_bits(),
-                            solo[v].to_bits(),
-                            "{} min k={k} column {j} vertex {v}",
-                            e.label()
-                        );
+                    for (j, col) in cols.iter().enumerate() {
+                        let mut solo = vec![f64::NAN; n];
+                        if add {
+                            e.spmv_add(col, &mut solo);
+                        } else {
+                            e.spmv_min(col, &mut solo);
+                        }
+                        for v in 0..n {
+                            assert_eq!(
+                                y_m[v * k + j].to_bits(),
+                                solo[v].to_bits(),
+                                "{} add={add} k={k} column {j} vertex {v}",
+                                e.label()
+                            );
+                        }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn engine_rows_agree_with_the_permutation_hooks() {
+        let g = paper_example_graph();
+        let cfg = IhtlConfig { cache_budget_bytes: 16, ..IhtlConfig::default() };
+        let v: Vec<f64> = (0..8).map(|i| (i * i) as f64 + 0.5).collect();
+        for kind in EngineKind::all() {
+            let e = build_engine(kind, &g, &cfg);
+            let relabels = matches!(kind, EngineKind::Ihtl | EngineKind::Hybrid);
+            assert_eq!(e.engine_rows().is_some(), relabels, "{kind:?}");
+            let ve = e.from_original_order(&v);
+            for (o, &x) in v.iter().enumerate() {
+                let row = e.engine_rows().map_or(o, |rows| rows[o] as usize);
+                assert_eq!(ve[row], x, "{kind:?} vertex {o}");
+            }
+            assert_eq!(e.to_original_order(&ve), v, "{kind:?}");
         }
     }
 

@@ -16,7 +16,7 @@ use crate::components::propagate_components;
 use crate::engine::SpmvEngine;
 use crate::multi::{pagerank_multi, pagerank_seeded, spmv_sum_multi, sssp_multi};
 use crate::pagerank::pagerank;
-use crate::spmv::spmv_iterations;
+use crate::spmv::spmv_sum;
 use crate::sssp::sssp;
 
 /// A description of one analytics job, independent of the engine that will
@@ -171,12 +171,7 @@ pub fn run_job(
             Ok(JobOutput { values, rounds, seconds: t.elapsed().as_secs_f64() })
         }
         JobSpec::SpmvSum { iters, source } => {
-            let mut x0 = vec![0.0f64; n];
-            match source {
-                None => x0.iter_mut().for_each(|v| *v = 1.0),
-                Some(s) => x0[s as usize] = 1.0,
-            }
-            let run = spmv_iterations(engine, &x0, iters);
+            let run = spmv_sum(engine, iters, source);
             Ok(JobOutput { values: run.values, rounds: iters, seconds: t.elapsed().as_secs_f64() })
         }
         JobSpec::Sssp { source, max_rounds } => {
@@ -463,6 +458,30 @@ mod tests {
         let solo = run_job(e.as_mut(), Some(&g), &specs[3]).unwrap();
         for (a, b) in batched[3].as_ref().unwrap().values.iter().zip(&solo.values) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn bad_seed_in_a_batch_is_one_members_error_not_a_panic() {
+        // `pagerank_multi` asserts its seeds are in range; validation runs
+        // first, so the assert is unreachable from a batch and the other
+        // columns run as if the bad member had never been queued.
+        let g = paper_example_graph();
+        let mut e = build_engine(EngineKind::Ihtl, &g, &cfg());
+        let specs = vec![
+            JobSpec::PageRank { iters: 6, seed: Some(2) },
+            JobSpec::PageRank { iters: 6, seed: Some(999) },
+            JobSpec::PageRank { iters: 6, seed: None },
+        ];
+        let batched = run_job_multi(e.as_mut(), &specs);
+        assert!(batched[1].as_ref().unwrap_err().contains("out of range"));
+        for i in [0, 2] {
+            let solo = run_job(e.as_mut(), Some(&g), &specs[i]).unwrap();
+            let out = batched[i].as_ref().unwrap();
+            assert_eq!(out.rounds, 6);
+            for (a, b) in out.values.iter().zip(&solo.values) {
+                assert!((a - b).abs() < 1e-12, "member {i}: {a} vs {b}");
+            }
         }
     }
 

@@ -24,6 +24,7 @@ pub mod engine;
 pub mod jobs;
 pub mod multi;
 pub mod pagerank;
+mod rows;
 pub mod spmv;
 pub mod sssp;
 pub mod triangles;

@@ -19,26 +19,30 @@
 
 use crate::engine::SpmvEngine;
 use crate::pagerank::DAMPING;
+use crate::rows::{engine_row, original_columns, par_row_blocks, relax_rows, Improved};
 
-/// Extracts column `j` from a `[vertex][k]` interleaved vector.
-pub fn take_column(v: &[f64], k: usize, j: usize) -> Vec<f64> {
-    assert!(j < k);
-    v.iter().skip(j).step_by(k).copied().collect()
-}
-
-/// Interleaves equal-length columns into the `[vertex][k]` layout.
-pub fn interleave_columns(cols: &[Vec<f64>]) -> Vec<f64> {
-    let k = cols.len();
-    assert!(k >= 1);
-    let n = cols[0].len();
-    let mut out = vec![0.0; n * k];
-    for (j, col) in cols.iter().enumerate() {
-        assert_eq!(col.len(), n);
-        for (i, &v) in col.iter().enumerate() {
-            out[i * k + j] = v;
+/// PageRank's fused contribution pass over a `[vertex][k]` matrix:
+/// `contrib = rank(idx, j) / out-degree`, the degree read once per row.
+/// Dangling rows are skipped, not zero-filled: `contrib` is allocated zeroed
+/// and no pass ever writes them, so their lines (and the sums feeding them)
+/// cost no traffic — on a graph with many sinks, most of the pass.
+fn scale_rows(
+    contrib: &mut [f64],
+    degs: &[u32],
+    k: usize,
+    rank: impl Fn(usize, usize) -> f64 + Sync,
+) {
+    par_row_blocks(contrib, k, |first_row, block| {
+        for (r, out) in block.chunks_exact_mut(k).enumerate() {
+            let row = first_row + r;
+            let d = degs[row];
+            if d > 0 {
+                for (j, c) in out.iter_mut().enumerate() {
+                    *c = rank(row * k + j, j) / d as f64;
+                }
+            }
         }
-    }
-    out
+    });
 }
 
 /// K PageRank queries in one sweep: column `j` runs `iters` iterations
@@ -47,9 +51,12 @@ pub fn interleave_columns(cols: &[Vec<f64>]) -> Vec<f64> {
 /// the initial ranks) to vertex `s` in original order. Returns one rank
 /// vector (original order) per column.
 ///
-/// A uniform column's teleport vector holds exactly the scalar
-/// `(1 - d)/n` a solo run uses, so the fused update performs bit-identical
-/// arithmetic; a seeded column mirrors [`pagerank_seeded`].
+/// A column's start rank and teleport are one constant on every row but
+/// its seed's — `1/n` and `(1 - d)/n` for a uniform column (exactly the
+/// scalars a solo run uses, so the fused update performs bit-identical
+/// arithmetic), `0` for a seeded one — so no dense teleport vector exists:
+/// each pass applies the per-column constants and then patches the at most
+/// K seed elements.
 pub fn pagerank_multi(
     engine: &mut dyn SpmvEngine,
     iters: usize,
@@ -61,56 +68,58 @@ pub fn pagerank_multi(
     if n == 0 {
         return vec![Vec::new(); k];
     }
-    let uniform_base = (1.0 - DAMPING) / n as f64;
-    // Per-column teleport vector and initial ranks, original order first so
-    // seeds address original IDs, then permuted into engine order (a pure
-    // permutation, bitwise-transparent).
-    let mut base_orig = vec![0.0f64; n * k];
-    let mut pr_orig = vec![0.0f64; n * k];
-    for (j, seed) in seeds.iter().enumerate() {
-        match *seed {
-            None => {
-                for i in 0..n {
-                    base_orig[i * k + j] = uniform_base;
-                    pr_orig[i * k + j] = 1.0 / n as f64;
-                }
-            }
-            Some(s) => {
-                assert!((s as usize) < n, "seed vertex out of range");
-                base_orig[s as usize * k + j] = 1.0 - DAMPING;
-                pr_orig[s as usize * k + j] = 1.0;
-            }
-        }
-    }
-    let basev = engine.from_original_order_multi(&base_orig, k);
-    let mut pr = engine.from_original_order_multi(&pr_orig, k);
+    let init = ihtl_trace::span("driver_init");
+    let off_seed = |uniform: f64| -> Vec<f64> {
+        seeds.iter().map(|seed| if seed.is_some() { 0.0 } else { uniform }).collect()
+    };
+    let (start, base) = (off_seed(1.0 / n as f64), off_seed((1.0 - DAMPING) / n as f64));
+    // A seed's own rank entering an iteration, from its column's sum there.
+    let seed_rank =
+        |first: bool, sum: f64| if first { 1.0 } else { (1.0 - DAMPING) + DAMPING * sum };
+    // `contrib` must start zeroed (dangling rows stay so); every sweep
+    // overwrites `sums` in full.
     let mut contrib = vec![0.0f64; n * k];
     let mut sums = vec![0.0f64; n * k];
+    drop(init);
     for it in 0..iters {
         // Same fused contribution/update pass as the solo driver, k columns
-        // wide; `idx / k` is the vertex, `idx % k` the column.
+        // wide.
         let degs = engine.out_degrees();
         {
-            let pr = &pr[..];
+            let _pass = ihtl_trace::span("driver_pass");
             let sums = &sums[..];
-            let basev = &basev[..];
-            ihtl_parallel::par_for_each_mut(&mut contrib, 4096, |idx, c| {
-                let d = degs[idx / k];
-                let rank = if it == 0 { pr[idx] } else { basev[idx] + DAMPING * sums[idx] };
-                *c = if d > 0 { rank / d as f64 } else { 0.0 };
-            });
+            if it == 0 {
+                scale_rows(&mut contrib, degs, k, |_, j| start[j]);
+            } else {
+                scale_rows(&mut contrib, degs, k, |idx, j| base[j] + DAMPING * sums[idx]);
+            }
+            for (j, seed) in seeds.iter().enumerate() {
+                if let Some(s) = *seed {
+                    let row = engine_row(engine, s);
+                    let (idx, d) = (row * k + j, degs[row]);
+                    if d > 0 {
+                        contrib[idx] = seed_rank(it == 0, sums[idx]) / d as f64;
+                    }
+                }
+            }
         }
         engine.spmm_add(&contrib, &mut sums, k);
     }
-    if iters > 0 {
-        let sums = &sums[..];
-        let basev = &basev[..];
-        ihtl_parallel::par_for_each_mut(&mut pr, 4096, |idx, p| {
-            *p = basev[idx] + DAMPING * sums[idx];
-        });
+    // The last rank update is fused into the way out: ranks are only ever
+    // materialised as the K result vectors.
+    let sums = &sums[..];
+    let mut ranks = if iters == 0 {
+        original_columns(engine, k, |_, j| start[j])
+    } else {
+        original_columns(engine, k, |row, j| base[j] + DAMPING * sums[row * k + j])
+    };
+    for (j, seed) in seeds.iter().enumerate() {
+        if let Some(s) = *seed {
+            let row = engine_row(engine, s);
+            ranks[j][s as usize] = seed_rank(iters == 0, sums[row * k + j]);
+        }
     }
-    let back = engine.to_original_order_multi(&pr, k);
-    (0..k).map(|j| take_column(&back, k, j)).collect()
+    ranks
 }
 
 /// Personalised PageRank: [`crate::pagerank::pagerank`] generalised with an
@@ -126,6 +135,9 @@ pub fn pagerank_seeded(engine: &mut dyn SpmvEngine, iters: usize, seed: Option<u
 /// with no improvement for that column (inclusive), capped at
 /// `max_rounds`. Columns already at fixpoint keep relaxing without change
 /// (min is idempotent), so late columns never perturb early ones.
+///
+/// The sweep runs over `dist` itself and the relax pass adds the edge
+/// length afterwards — see [`crate::sssp::sssp`].
 pub fn sssp_multi(
     engine: &mut dyn SpmvEngine,
     sources: &[u32],
@@ -134,48 +146,39 @@ pub fn sssp_multi(
     let k = sources.len();
     assert!(k >= 1, "sssp_multi needs at least one column");
     let n = engine.n_vertices();
-    for &s in sources {
-        assert!((s as usize) < n, "source vertex out of range");
-    }
-    let mut init = vec![f64::INFINITY; n * k];
+    let init = ihtl_trace::span("driver_init");
+    let mut dist = vec![f64::INFINITY; n * k];
     for (j, &s) in sources.iter().enumerate() {
-        init[s as usize * k + j] = 0.0;
+        dist[engine_row(engine, s) * k + j] = 0.0;
     }
-    let mut dist = engine.from_original_order_multi(&init, k);
-    let mut bumped = vec![0.0f64; n * k];
     let mut relaxed = vec![0.0f64; n * k];
+    let improved = Improved::new(k);
     let mut col_rounds = vec![max_rounds; k];
     let mut done = vec![false; k];
+    drop(init);
     let mut rounds = 0;
     while rounds < max_rounds && done.iter().any(|d| !d) {
-        for (b, &d) in bumped.iter_mut().zip(&dist) {
-            *b = d + 1.0;
-        }
-        engine.spmm_min(&bumped, &mut relaxed, k);
-        let mut changed = vec![false; k];
-        for (idx, (d, &r)) in dist.iter_mut().zip(&relaxed).enumerate() {
-            if r < *d {
-                *d = r;
-                changed[idx % k] = true;
-            }
-        }
+        engine.spmm_min(&dist, &mut relaxed, k);
+        relax_rows(&mut dist, &relaxed, |r| r + 1.0, &improved);
         rounds += 1;
         for j in 0..k {
-            if !done[j] && !changed[j] {
+            if !improved.take(j) && !done[j] {
                 done[j] = true;
                 col_rounds[j] = rounds;
             }
         }
     }
-    let back = engine.to_original_order_multi(&dist, k);
-    (0..k).map(|j| (take_column(&back, k, j), col_rounds[j])).collect()
+    let dist = &dist[..];
+    original_columns(engine, k, |row, j| dist[row * k + j]).into_iter().zip(col_rounds).collect()
 }
 
 /// K iterated sum-SpMV queries in one sweep: column `j` starts from all
 /// ones (`sources[j] == None`, the classic §2.2 microbenchmark) or from an
 /// indicator at the given original-order vertex. Per-column renormalisation
 /// follows the solo driver's fold order exactly (ascending rows, rescale
-/// when the 1-norm exceeds `1e100`).
+/// when the 1-norm exceeds `1e100`) — which is why the norms are one serial
+/// pass over whole rows, K running sums at a time, and not a parallel
+/// reduction: re-associating the fold would change the rescaled bits.
 pub fn spmv_sum_multi(
     engine: &mut dyn SpmvEngine,
     iters: usize,
@@ -184,44 +187,47 @@ pub fn spmv_sum_multi(
     let k = sources.len();
     assert!(k >= 1, "spmv_sum_multi needs at least one column");
     let n = engine.n_vertices();
-    let mut x0 = vec![0.0f64; n * k];
+    let init = ihtl_trace::span("driver_init");
+    let ones: Vec<f64> = sources.iter().map(|s| if s.is_none() { 1.0 } else { 0.0 }).collect();
+    let mut x = vec![0.0f64; n * k];
+    if sources.iter().any(Option::is_none) {
+        par_row_blocks(&mut x, k, |_, block| {
+            block.chunks_exact_mut(k).for_each(|row| row.copy_from_slice(&ones));
+        });
+    }
     for (j, src) in sources.iter().enumerate() {
-        match *src {
-            None => {
-                for i in 0..n {
-                    x0[i * k + j] = 1.0;
-                }
-            }
-            Some(s) => {
-                assert!((s as usize) < n, "source vertex out of range");
-                x0[s as usize * k + j] = 1.0;
-            }
+        if let Some(s) = *src {
+            x[engine_row(engine, s) * k + j] = 1.0;
         }
     }
-    let mut x = engine.from_original_order_multi(&x0, k);
     let mut y = vec![0.0f64; n * k];
+    let mut norms = vec![0.0f64; k];
+    drop(init);
     for _ in 0..iters {
         engine.spmm_add(&x, &mut y, k);
         std::mem::swap(&mut x, &mut y);
-        for j in 0..k {
-            let mut norm = 0.0f64;
-            let mut i = j;
-            while i < x.len() {
-                norm += x[i].abs();
-                i += k;
-            }
-            if norm > 1e100 {
-                let inv = 1.0 / norm;
-                let mut i = j;
-                while i < x.len() {
-                    x[i] *= inv;
-                    i += k;
-                }
+        let _pass = ihtl_trace::span("driver_pass");
+        norms.fill(0.0);
+        for row in x.chunks_exact(k) {
+            for (norm, v) in norms.iter_mut().zip(row) {
+                *norm += v.abs();
             }
         }
+        if norms.iter().any(|&norm| norm > 1e100) {
+            let norms = &norms[..];
+            par_row_blocks(&mut x, k, |_, block| {
+                for row in block.chunks_exact_mut(k) {
+                    for (v, &norm) in row.iter_mut().zip(norms) {
+                        if norm > 1e100 {
+                            *v *= 1.0 / norm;
+                        }
+                    }
+                }
+            });
+        }
     }
-    let back = engine.to_original_order_multi(&x, k);
-    (0..k).map(|j| take_column(&back, k, j)).collect()
+    let x = &x[..];
+    original_columns(engine, k, |row, j| x[row * k + j])
 }
 
 #[cfg(test)]
@@ -315,15 +321,6 @@ mod tests {
                 assert_bitwise(&cols[j], &solo.values, &format!("{kind:?} src {src:?}"));
             }
         }
-    }
-
-    #[test]
-    fn column_helpers_round_trip() {
-        let cols = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]];
-        let m = interleave_columns(&cols);
-        assert_eq!(m, vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
-        assert_eq!(take_column(&m, 2, 0), cols[0]);
-        assert_eq!(take_column(&m, 2, 1), cols[1]);
     }
 
     #[test]

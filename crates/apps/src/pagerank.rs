@@ -8,6 +8,7 @@
 use std::time::Instant;
 
 use crate::engine::SpmvEngine;
+use crate::rows::original_columns;
 
 /// Damping factor used throughout the paper's evaluation.
 pub const DAMPING: f64 = 0.85;
@@ -38,42 +39,51 @@ pub fn pagerank(engine: &mut dyn SpmvEngine, iters: usize) -> PageRankRun {
     if n == 0 {
         return PageRankRun { ranks: Vec::new(), iter_seconds: Vec::new() };
     }
+    let init = ihtl_trace::span("driver_init");
+    // Uniform start and teleport: the same scalars in any vertex order.
+    let start = 1.0 / n as f64;
     let base = (1.0 - DAMPING) / n as f64;
-    let mut pr = vec![1.0 / n as f64; n];
+    // `contrib` must start zeroed (see the pass); every sweep overwrites
+    // `sums` in full.
     let mut contrib = vec![0.0f64; n];
     let mut sums = vec![0.0f64; n];
     let mut iter_seconds = Vec::with_capacity(iters);
+    drop(init);
 
     for it in 0..iters {
         // lint:allow(R4): per-iteration timing for the Table 2 report
         let t = Instant::now();
         // Contribution of each vertex; dangling vertices contribute 0 (the
         // paper's formula divides by |N⁺| which only appears for vertices
-        // that have out-edges). From the second iteration on, the rank
-        // update `base + d·sums` is fused into this scaling pass — same
-        // per-element arithmetic, one fewer full-vector sweep per
-        // iteration — so ranks are materialized only once, after the loop.
+        // that have out-edges) — the zero they were allocated with, never
+        // rewritten, so runs of sinks cost the pass no traffic. From the
+        // second iteration on, the rank update `base + d·sums` is fused into
+        // this scaling pass — same per-element arithmetic, one fewer
+        // full-vector sweep per iteration — and the last one into the way
+        // back to original order, so ranks are materialised only once, as
+        // the result.
         let degs = engine.out_degrees();
         {
-            let pr = &pr[..];
+            let _pass = ihtl_trace::span("driver_pass");
             let sums = &sums[..];
             ihtl_parallel::par_for_each_mut(&mut contrib, 4096, |i, c| {
                 let d = degs[i];
-                let rank = if it == 0 { pr[i] } else { base + DAMPING * sums[i] };
-                *c = if d > 0 { rank / d as f64 } else { 0.0 };
+                if d > 0 {
+                    let rank = if it == 0 { start } else { base + DAMPING * sums[i] };
+                    *c = rank / d as f64;
+                }
             });
         }
         engine.spmv_add(&contrib, &mut sums);
         iter_seconds.push(t.elapsed().as_secs_f64());
     }
-    if iters > 0 {
-        let sums = &sums[..];
-        ihtl_parallel::par_for_each_mut(&mut pr, 4096, |i, p| {
-            *p = base + DAMPING * sums[i];
-        });
-    }
-
-    PageRankRun { ranks: engine.to_original_order(&pr), iter_seconds }
+    let sums = &sums[..];
+    let ranks = if iters == 0 {
+        vec![start; n]
+    } else {
+        original_columns(engine, 1, |row, _| base + DAMPING * sums[row]).pop().unwrap_or_default()
+    };
+    PageRankRun { ranks, iter_seconds }
 }
 
 #[cfg(test)]

@@ -3,10 +3,16 @@
 //!
 //! `dist_i[v] = min(dist_{i-1}[v], min_{u ∈ N⁻(v)} dist_{i-1}[u] + 1)`
 //!
-//! The inner `min` is a min-SpMV over `x[u] = dist[u] + 1`, so the kernel
-//! is shared with components and PageRank across all engines.
+//! The inner `min` is a min-SpMV, so the kernel is shared with components
+//! and PageRank across all engines. It runs over `dist` itself: rounding is
+//! monotone (`a ≤ b` implies `fl(a + 1) ≤ fl(b + 1)`), so
+//! `min_u fl(dist[u] + 1) = fl((min_u dist[u]) + 1)` bit for bit — `+∞`, the
+//! Min identity of a vertex without in-neighbours, included — and the edge
+//! length is added once per vertex inside the relax pass instead of once
+//! per vertex into a bumped copy of `dist` before every sweep.
 
 use crate::engine::SpmvEngine;
+use crate::rows::{engine_row, relax_rows, Improved};
 
 /// Result of an SSSP run.
 #[derive(Clone, Debug)]
@@ -22,31 +28,22 @@ pub struct SsspRun {
 /// round with no improvement or after `max_rounds`.
 pub fn sssp(engine: &mut dyn SpmvEngine, source: u32, max_rounds: usize) -> SsspRun {
     let n = engine.n_vertices();
-    assert!((source as usize) < n, "source out of range");
-    let mut init = vec![f64::INFINITY; n];
-    init[source as usize] = 0.0;
-    let mut dist = engine.from_original_order(&init);
-    let mut bumped = vec![0.0f64; n];
+    let init = ihtl_trace::span("driver_init");
+    let mut dist = vec![f64::INFINITY; n];
+    dist[engine_row(engine, source)] = 0.0;
     let mut relaxed = vec![0.0f64; n];
+    let improved = Improved::new(1);
+    drop(init);
     let mut rounds = 0;
     while rounds < max_rounds {
-        // x[u] = dist[u] + 1 (∞ stays ∞).
-        for (b, &d) in bumped.iter_mut().zip(&dist) {
-            *b = d + 1.0;
-        }
-        engine.spmv_min(&bumped, &mut relaxed);
-        let mut changed = false;
-        for (d, &r) in dist.iter_mut().zip(&relaxed) {
-            if r < *d {
-                *d = r;
-                changed = true;
-            }
-        }
+        engine.spmv_min(&dist, &mut relaxed);
+        relax_rows(&mut dist, &relaxed, |r| r + 1.0, &improved);
         rounds += 1;
-        if !changed {
+        if !improved.take(0) {
             break;
         }
     }
+    let _out = ihtl_trace::span("driver_output");
     SsspRun { dist: engine.to_original_order(&dist), rounds }
 }
 

@@ -179,42 +179,27 @@ impl IhtlGraph {
     /// Permutes a vector from old-ID indexing to new-ID indexing.
     pub fn to_new_order(&self, old: &[f64]) -> Vec<f64> {
         assert_eq!(old.len(), self.n);
-        self.new_to_old.iter().map(|&o| old[o as usize]).collect()
+        ihtl_parallel::par_map(&self.new_to_old, PERMUTE_GRAIN, |&o| old[o as usize])
     }
 
-    /// Permutes a vector from new-ID indexing back to old-ID indexing.
+    /// Permutes a vector from new-ID indexing back to old-ID indexing — a
+    /// gather through the inverse relabeling, so the output is written
+    /// sequentially (and in parallel) like [`IhtlGraph::to_new_order`]'s.
     pub fn to_old_order(&self, new: &[f64]) -> Vec<f64> {
         assert_eq!(new.len(), self.n);
-        let mut out = vec![0.0; self.n];
-        for (v_new, &o) in self.new_to_old.iter().enumerate() {
-            out[o as usize] = new[v_new];
-        }
-        out
+        ihtl_parallel::par_map(&self.old_to_new, PERMUTE_GRAIN, |&v| new[v as usize])
     }
 
     /// [`IhtlGraph::to_new_order`] for `k` interleaved columns per vertex
     /// (`v * k + j` holds vertex `v`, column `j`). A pure permutation of
     /// whole `k`-wide rows — bitwise equal to permuting each column solo.
     pub fn to_new_order_multi(&self, old: &[f64], k: usize) -> Vec<f64> {
-        assert!(k >= 1);
-        assert_eq!(old.len(), self.n * k);
-        let mut out = Vec::with_capacity(old.len());
-        for &o in &self.new_to_old {
-            let base = o as usize * k;
-            out.extend_from_slice(&old[base..base + k]);
-        }
-        out
+        gather_rows(&self.new_to_old, old, k)
     }
 
     /// [`IhtlGraph::to_old_order`] for `k` interleaved columns per vertex.
     pub fn to_old_order_multi(&self, new: &[f64], k: usize) -> Vec<f64> {
-        assert!(k >= 1);
-        assert_eq!(new.len(), self.n * k);
-        let mut out = vec![0.0; new.len()];
-        for (v_new, &o) in self.new_to_old.iter().enumerate() {
-            out[o as usize * k..o as usize * k + k].copy_from_slice(&new[v_new * k..v_new * k + k]);
-        }
-        out
+        gather_rows(&self.old_to_new, new, k)
     }
 
     /// Topology bytes of the iHTL representation (Table 4): per-block CSR
@@ -232,4 +217,23 @@ impl IhtlGraph {
         let relabel = (2 * self.n * NEIGHBOUR_BYTES) as u64;
         blocks + sparse + relabel
     }
+}
+
+/// Elements per task of the permutation gathers.
+const PERMUTE_GRAIN: usize = 4096;
+
+/// `out` row `r` is `v` row `from[r]`, `k` values per row: a parallel gather
+/// whose output is written sequentially.
+fn gather_rows(from: &[VertexId], v: &[f64], k: usize) -> Vec<f64> {
+    assert!(k >= 1);
+    assert_eq!(v.len(), from.len() * k);
+    let rows_per_task = (PERMUTE_GRAIN / k).max(1);
+    let mut out = vec![0.0; v.len()];
+    ihtl_parallel::par_chunks_mut(&mut out, rows_per_task * k, |ci, chunk| {
+        let from = &from[ci * rows_per_task..];
+        for (row, &src) in chunk.chunks_exact_mut(k).zip(from) {
+            row.copy_from_slice(&v[src as usize * k..src as usize * k + k]);
+        }
+    });
+    out
 }

@@ -554,6 +554,35 @@ where
     out
 }
 
+/// Builds `k` vectors of `len` elements in one parallel pass: element `i` of
+/// vector `j` is `f(i, j)`, with `j` innermost — the de-interleaving
+/// transpose, where one fetch of row `i` feeds all `k` outputs. Like
+/// [`par_map`], values are written straight into the vectors' storage.
+pub fn par_map_columns<U, F>(len: usize, k: usize, grain: usize, f: F) -> Vec<Vec<U>>
+where
+    U: Send,
+    F: Fn(usize, usize) -> U + Sync,
+{
+    let mut cols: Vec<Vec<U>> = (0..k).map(|_| Vec::with_capacity(len)).collect();
+    let bases: Vec<SharedMut<U>> = cols.iter_mut().map(|c| SharedMut(c.as_mut_ptr())).collect();
+    par_for_chunks(0..len, grain, |r| {
+        for i in r {
+            for (j, base) in bases.iter().enumerate() {
+                // SAFETY: chunks partition 0..len, so slot i of each vector
+                // is written exactly once, into capacity reserved above. On
+                // panic the region unwinds before `set_len`, so no
+                // uninitialised element is ever dropped.
+                unsafe { base.ptr().add(i).write(f(i, j)) };
+            }
+        }
+    });
+    for col in &mut cols {
+        // SAFETY: the region completed, so all `len` slots are initialised.
+        unsafe { col.set_len(len) };
+    }
+    cols
+}
+
 /// Overwrites every element with `value`, in parallel — the bulk
 /// reset-to-identity used before push phases.
 pub fn par_fill<T>(data: &mut [T], value: T)
@@ -815,6 +844,19 @@ mod tests {
         assert_eq!(mapped.len(), 1000);
         assert_eq!(mapped[0], "v0");
         assert_eq!(mapped[999], "v999");
+    }
+
+    #[test]
+    fn par_map_columns_transposes() {
+        // Drop types again: every slot of every column written exactly once.
+        let cols = par_map_columns(1000, 3, 13, |i, j| format!("{i}:{j}"));
+        assert_eq!(cols.len(), 3);
+        for (j, col) in cols.iter().enumerate() {
+            assert_eq!(col.len(), 1000);
+            assert!(col.iter().enumerate().all(|(i, v)| *v == format!("{i}:{j}")));
+        }
+        assert_eq!(par_map_columns(0, 2, 8, |i, j| i + j), vec![Vec::<usize>::new(); 2]);
+        assert!(par_map_columns(5, 0, 8, |i, j| i + j).is_empty());
     }
 
     #[test]

@@ -8,14 +8,17 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
-echo "==> cargo test -q --offline"
-cargo test -q --offline
+# --workspace: the root package's tests/ are only the cross-crate suites;
+# the crates' own unit and integration tests (the drivers' bitwise pins
+# under crates/apps among them) gate nothing without it.
+echo "==> cargo test -q --offline --workspace"
+cargo test -q --offline --workspace
 
-echo "==> IHTL_THREADS=1 cargo test -q --offline (sequential fallback)"
-IHTL_THREADS=1 cargo test -q --offline
+echo "==> IHTL_THREADS=1 cargo test -q --offline --workspace (sequential fallback)"
+IHTL_THREADS=1 cargo test -q --offline --workspace
 
-echo "==> IHTL_THREADS=4 cargo test -q --offline (fixed pool width)"
-IHTL_THREADS=4 cargo test -q --offline
+echo "==> IHTL_THREADS=4 cargo test -q --offline --workspace (fixed pool width)"
+IHTL_THREADS=4 cargo test -q --offline --workspace
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -51,7 +54,15 @@ bash scripts/store_smoke.sh
 echo "==> scripts/shard_smoke.sh (sharded router + workers bitwise-merge smoke test)"
 bash scripts/shard_smoke.sh
 
-echo "==> scripts/bench.sh --samples 3 --max-regress 15 (perf + SpMM + engine-selection gates)"
-bash scripts/bench.sh --samples 3 --max-regress 15 --trace-ab --spmm --engines --engines-gate 10
+# The ledger's in-run oracle (every timed result against the pull
+# reference) is the gate: exit 0 means "correct":true,"failed":0. Speed is
+# compared parent-against-change by `bench/run.sh --compare`, not against
+# an absolute baseline recorded on some other host.
+echo "==> bench/run.sh --workload sweep_resident --seed 1 --seconds 3 --trace 0 (ledger smoke)"
+bash bench/run.sh --workload sweep_resident --seed 1 --seconds 3 --trace 0
 
-echo "OK: hermetic build, tests (1/default/4 threads), fmt, lint (R1-R7 + baseline), 64-seed shuffle sweep, benches, quickstart, serve smoke, store smoke, shard smoke, perf + engine gates"
+# Host-relative gates only (auto against the same run's best fixed engine).
+echo "==> scripts/bench.sh --samples 3 (perf trajectory + engine-selection gate)"
+bash scripts/bench.sh --samples 3 --trace-ab --spmm --engines --engines-gate 10
+
+echo "OK: hermetic build, workspace tests (1/default/4 threads), fmt, lint (R1-R7 + baseline), 64-seed shuffle sweep, benches, quickstart, serve smoke, store smoke, shard smoke, ledger smoke, engine gate"
