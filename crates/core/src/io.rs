@@ -15,106 +15,39 @@
 //! Persistence doctrine (shared with every binary format in the workspace,
 //! see `ihtl_graph::io`): [`save_ihtl`] writes atomically (sibling temp
 //! file + rename) and appends an FNV-1a-64 checksum trailer; [`load_ihtl`]
-//! verifies the trailer *before* structural validation and still accepts
-//! trailer-less legacy images, for which the structural validators below
-//! remain the only (and sufficient) corruption backstop.
+//! verifies the trailer *before* structural validation (an image without
+//! one is rejected) and parses through the shared bounds-checked
+//! [`Cursor`].
 
 use std::io::{self, Write};
 use std::path::Path;
 
-use ihtl_graph::{Csr, EdgeIndex, VertexId};
+use ihtl_graph::io::Cursor;
+use ihtl_graph::{Csr, VertexId};
 
 use crate::graph::{FlippedBlock, IhtlGraph};
 use crate::stats::BuildStats;
 
 const MAGIC: &[u8; 8] = b"IHTLBLK2";
 
-/// Bounds-checked reader over an in-memory image. Every read validates the
-/// remaining length first, so a truncated or corrupted file can only ever
-/// produce `InvalidData` — never a panic, a mis-read, or an allocation
-/// sized from attacker-controlled bytes.
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
+/// A length-prefixed `u32` array whose length must be `expect`.
+fn u32_array(c: &mut Cursor<'_>, expect: usize, what: &str) -> io::Result<Vec<u32>> {
+    if c.len(4, what)? != expect {
+        return Err(invalid(format!("{what} length mismatch")));
     }
+    c.u32s(expect, what)
+}
 
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> io::Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(invalid(format!("truncated {what}")));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u64(&mut self, what: &str) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    /// Reads a `u64` that will be used as an element count of
-    /// `elem_bytes`-sized items: rejects values whose payload could not
-    /// possibly fit in the remaining bytes, so `Vec::with_capacity` is
-    /// always bounded by the file size.
-    fn len(&mut self, elem_bytes: usize, what: &str) -> io::Result<usize> {
-        let v = self.u64(what)?;
-        let v = usize::try_from(v).map_err(|_| invalid(format!("{what} too large")))?;
-        if v.checked_mul(elem_bytes).is_none_or(|bytes| bytes > self.remaining()) {
-            return Err(invalid(format!("{what} larger than remaining bytes")));
-        }
-        Ok(v)
-    }
-
-    fn u32s(&mut self, expect: usize, what: &str) -> io::Result<Vec<u32>> {
-        let len = self.len(4, what)?;
-        if len != expect {
-            return Err(invalid(format!("{what} length mismatch")));
-        }
-        let raw = self.take(len * 4, what)?;
-        Ok(raw.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect())
-    }
-
-    fn csr(&mut self, what: &str) -> io::Result<Csr> {
-        let n_rows = self.len(8, what)?;
-        let n_cols = self.u64(what)?;
-        let n_cols = usize::try_from(n_cols).map_err(|_| invalid(format!("{what} n_cols")))?;
-        let n_edges = self.len(1, what)?; // validated precisely below
-        let raw_offsets = self.take((n_rows + 1) * 8, what)?;
-        let offsets: Vec<EdgeIndex> = raw_offsets
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()) as EdgeIndex)
-            .collect();
-        if n_edges.checked_mul(4).is_none_or(|bytes| bytes > self.remaining()) {
-            return Err(invalid(format!("{what} edge count larger than remaining bytes")));
-        }
-        let raw_targets = self.take(n_edges * 4, what)?;
-        let targets: Vec<VertexId> = raw_targets
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()) as VertexId)
-            .collect();
-        if offsets.first() != Some(&0) || offsets.last() != Some(&(n_edges as EdgeIndex)) {
-            return Err(invalid(format!("{what} offsets do not span the edge array")));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(invalid(format!("{what} offsets not monotone")));
-        }
-        if targets.iter().any(|&t| (t as usize) >= n_cols) {
-            return Err(invalid(format!("{what} target out of range")));
-        }
-        Ok(Csr::from_parts(offsets, targets, n_cols))
-    }
+/// A CSR as `write_csr` lays it out: rows, columns, edges, then the body.
+fn csr(c: &mut Cursor<'_>, what: &str) -> io::Result<Csr> {
+    let n_rows = c.len(8, what)?;
+    let n_cols = usize::try_from(c.u64(what)?).map_err(|_| invalid(format!("{what} n_cols")))?;
+    let n_edges = c.len(4, what)?;
+    c.csr(n_rows, n_cols, n_edges, what)
 }
 
 /// Writes the preprocessed graph to `path`: atomically (a crash mid-write
@@ -163,9 +96,8 @@ pub fn load_ihtl(path: &Path) -> io::Result<IhtlGraph> {
 
 /// Parses an IHTLBLK2 image from memory. Corrupted input — truncated at any
 /// byte, with internal length fields exceeding the payload, or failing the
-/// checksum trailer — yields `InvalidData`, never a panic or an unbounded
-/// allocation. A trailer-less legacy image is parsed on structural
-/// validation alone.
+/// checksum trailer, or lacking one — yields `InvalidData`, never a panic
+/// or an unbounded allocation.
 pub fn load_ihtl_bytes(data: &[u8]) -> io::Result<IhtlGraph> {
     let payload = ihtl_graph::io::verify_trailer(data)?;
     let mut c = Cursor::new(payload);
@@ -183,8 +115,8 @@ pub fn load_ihtl_bytes(data: &[u8]) -> io::Result<IhtlGraph> {
     if n_hubs.checked_add(n_vweh).is_none_or(|a| a > n) {
         return Err(invalid("hub/vweh counts exceed n_vertices"));
     }
-    let new_to_old = c.u32s(n, "relabel array")?;
-    let out_degree_new = c.u32s(n, "out-degree array")?;
+    let new_to_old = u32_array(&mut c, n, "relabel array")?;
+    let out_degree_new = u32_array(&mut c, n, "out-degree array")?;
     let n_feeders = c.len(8, "block_feeders count")?;
     let mut block_feeders = Vec::with_capacity(n_feeders);
     for _ in 0..n_feeders {
@@ -202,13 +134,13 @@ pub fn load_ihtl_bytes(data: &[u8]) -> io::Result<IhtlGraph> {
             return Err(invalid("block hub ranges must tile 0..n_hubs"));
         }
         next_hub = hub_end;
-        let edges = c.csr("block CSR")?;
+        let edges = csr(&mut c, "block CSR")?;
         if edges.n_cols() > (hub_end - hub_start) as usize {
             // Block-local targets index per-thread hub buffers unchecked in
             // the push kernel, so the column bound must be the block width.
             return Err(invalid("block CSR wider than its hub range"));
         }
-        let srcs = c.u32s(edges.n_rows(), "block srcs")?;
+        let srcs = u32_array(&mut c, edges.n_rows(), "block srcs")?;
         if srcs.windows(2).any(|w| w[0] >= w[1]) {
             return Err(invalid("block srcs not ascending"));
         }
@@ -220,13 +152,11 @@ pub fn load_ihtl_bytes(data: &[u8]) -> io::Result<IhtlGraph> {
     if (next_hub as usize) != n_hubs {
         return Err(invalid("blocks do not cover all hubs"));
     }
-    let sparse = c.csr("sparse CSR")?;
+    let sparse = csr(&mut c, "sparse CSR")?;
     if sparse.n_rows() != n - n_hubs || sparse.n_cols() != n {
         return Err(invalid("sparse CSR shape mismatch"));
     }
-    // A well-formed image is consumed exactly. Leftover bytes mean the
-    // image was produced by something else (e.g. a trailered image whose
-    // trailer was itself corrupted, making it parse as legacy).
+    // A well-formed image is consumed exactly.
     if c.remaining() != 0 {
         return Err(invalid("trailing bytes after sparse CSR"));
     }
@@ -234,7 +164,7 @@ pub fn load_ihtl_bytes(data: &[u8]) -> io::Result<IhtlGraph> {
     let mut old_to_new = vec![0 as VertexId; n];
     for (new, &old) in new_to_old.iter().enumerate() {
         if (old as usize) >= n {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "relabel out of range"));
+            return Err(invalid("relabel out of range"));
         }
         old_to_new[old as usize] = new as VertexId;
     }
@@ -353,23 +283,41 @@ mod tests {
         bytes
     }
 
+    /// `image` with its payload altered by `edit` and the trailer recomputed
+    /// over the result: the checksum passes, so only the structural
+    /// validation stands between the edit and the kernels.
+    fn resealed(image: &[u8], edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let mut payload = image[..image.len() - ihtl_graph::io::TRAILER_LEN].to_vec();
+        edit(&mut payload);
+        ihtl_graph::io::append_trailer(&mut payload);
+        payload
+    }
+
+    fn assert_invalid(result: io::Result<IhtlGraph>, label: &str) {
+        match result {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{label}"),
+            Ok(_) => panic!("{label}: accepted"),
+        }
+    }
+
     #[test]
     fn rejects_truncation_at_every_prefix() {
         // Cut the image at every possible byte boundary: the loader must
         // return InvalidData each time — never panic, never succeed. This
         // covers mid-magic, mid-header, mid-u32-array, mid-CSR, and
-        // mid-trailer cuts in one sweep (the image is a few hundred bytes).
-        // The one exception is the cut that removes exactly the trailer:
-        // that prefix *is* a complete legacy image, which the format
-        // promises to keep loading.
+        // mid-trailer cuts in one sweep (the image is a few hundred bytes),
+        // including the cut that removes exactly the trailer.
         let full = example_image();
-        let payload_len = full.len() - ihtl_graph::io::TRAILER_LEN;
         assert!(load_ihtl_bytes(&full).is_ok());
+        assert_eq!(resealed(&full, |_| {}), full);
         for cut in 0..full.len() {
-            match load_ihtl_bytes(&full[..cut]) {
-                Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "cut at {cut}"),
-                Ok(_) if cut == payload_len => {} // complete trailer-less legacy image
-                Ok(_) => panic!("truncation at byte {cut} of {} was accepted", full.len()),
+            assert_invalid(load_ihtl_bytes(&full[..cut]), &format!("cut at {cut}"));
+            // The same truncated payload under a trailer of its own.
+            let payload_cut = cut.min(full.len() - ihtl_graph::io::TRAILER_LEN);
+            let mut sealed = full[..payload_cut].to_vec();
+            ihtl_graph::io::append_trailer(&mut sealed);
+            if sealed != full {
+                assert_invalid(load_ihtl_bytes(&sealed), &format!("sealed cut at {payload_cut}"));
             }
         }
     }
@@ -382,53 +330,53 @@ mod tests {
         let full = example_image();
         let mut img = full.clone();
         img[8 + 5 * 8] ^= 1;
-        match load_ihtl_bytes(&img) {
-            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
-            Ok(_) => panic!("corrupted stats byte was accepted"),
-        }
-        // The same flip on a trailer-less legacy image goes undetected —
-        // documenting exactly what the trailer buys.
-        let legacy = &img[..img.len() - ihtl_graph::io::TRAILER_LEN];
-        assert!(load_ihtl_bytes(legacy).is_ok());
+        assert_invalid(load_ihtl_bytes(&img), "flipped stats byte");
+        // Recomputing the trailer over the flipped payload is what it takes
+        // to get it loaded — which is exactly why an image without a
+        // trailer cannot be trusted.
+        assert!(load_ihtl_bytes(&resealed(&full, |p| p[8 + 5 * 8] ^= 1)).is_ok());
     }
 
     #[test]
-    fn legacy_trailerless_images_still_load() {
+    fn legacy_trailerless_images_are_rejected() {
         let full = example_image();
         let legacy = &full[..full.len() - ihtl_graph::io::TRAILER_LEN];
-        let a = load_ihtl_bytes(&full).unwrap();
-        let b = load_ihtl_bytes(legacy).unwrap();
-        assert_eq!(a.new_to_old(), b.new_to_old());
-        assert_eq!(a.stats().fb_edges, b.stats().fb_edges);
+        assert_invalid(load_ihtl_bytes(legacy), "trailer-less image");
     }
 
     #[test]
     fn rejects_len_fields_larger_than_remaining_bytes() {
         // Overwrite each 8-byte length-bearing header/array field with a
-        // huge value: the loader must reject without attempting to allocate
-        // or read past the payload. Field 0 is n_vertices (byte offset 8);
-        // the relabel-array length sits right after the 8-field header.
+        // huge value under a valid trailer: the loader must reject without
+        // attempting to allocate or read past the payload. Field 0 is
+        // n_vertices (byte offset 8); the relabel-array length sits right
+        // after the 8-field header.
         let full = example_image();
         for off in [8, 8 + 8 * 8] {
-            let mut img = full.clone();
-            img[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-            match load_ihtl_bytes(&img) {
-                Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "field at {off}"),
-                Ok(_) => panic!("oversized len at byte {off} was accepted"),
+            for huge in [u64::MAX, 1 << 60, full.len() as u64] {
+                let img = resealed(&full, |p| p[off..off + 8].copy_from_slice(&huge.to_le_bytes()));
+                assert_invalid(load_ihtl_bytes(&img), &format!("field at {off} = {huge}"));
             }
         }
     }
 
     #[test]
     fn rejects_flipped_corruption_without_panicking() {
-        // Flip every byte of the image one at a time. Loading must either
-        // fail cleanly or succeed (some bytes — e.g. stats counters — are
-        // not structural); it must never panic.
+        // Flip every byte of the image one at a time — as is (the trailer
+        // catches it) and under a recomputed trailer (only the structural
+        // checks can). Loading must either fail cleanly or succeed (some
+        // bytes — e.g. stats counters — are not structural); it must never
+        // panic.
         let full = example_image();
         for i in 0..full.len() {
             let mut img = full.clone();
             img[i] ^= 0xff;
-            let _ = load_ihtl_bytes(&img);
+            assert_invalid(load_ihtl_bytes(&img), &format!("flipped byte {i}"));
+            if i < full.len() - ihtl_graph::io::TRAILER_LEN {
+                if let Err(e) = load_ihtl_bytes(&resealed(&full, |p| p[i] ^= 0xff)) {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "resealed flip at {i}");
+                }
+            }
         }
     }
 }

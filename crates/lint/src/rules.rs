@@ -13,10 +13,10 @@
 //!   `.expect()`, `panic!`-family macros, or indexing by integer literal in
 //!   `crates/serve/src` or `crates/traversal/src` (tests exempt).
 //! * **R4** — determinism: no `HashMap`/`HashSet` in wire-output files
-//!   (`json.rs`, `proto.rs`, `server.rs`, `stats.rs` under serve); no
-//!   `Instant::now`/`SystemTime::now` outside `stats.rs`, bench code, and
-//!   `crates/trace` (the tracing layer owns the workspace's monotonic
-//!   clock; everything else should take timestamps through it).
+//!   (`endpoint.rs`, `json.rs`, `proto.rs`, `server.rs`, `stats.rs` under
+//!   serve); no `Instant::now`/`SystemTime::now` outside `stats.rs`, bench
+//!   code, and `crates/trace` (the tracing layer owns the workspace's
+//!   monotonic clock; everything else should take timestamps through it).
 //! * **R5** — no raw `thread::spawn`/`thread::Builder` outside
 //!   `crates/parallel` and the serve tier (`crates/serve`,
 //!   `crates/router`): parallelism goes through the `ihtl-parallel`
@@ -102,7 +102,8 @@ fn classify(rel_path: &str) -> Class {
     let traversal_src = p.starts_with("crates/traversal/src/");
     Class {
         panic_free: (serve_src || traversal_src) && !driver,
-        wire: serve_src && matches!(file, "json.rs" | "proto.rs" | "server.rs" | "stats.rs"),
+        wire: serve_src
+            && matches!(file, "endpoint.rs" | "json.rs" | "proto.rs" | "server.rs" | "stats.rs"),
         timers_ok: driver
             || p.starts_with("crates/bench/")
             || p.starts_with("crates/trace/")

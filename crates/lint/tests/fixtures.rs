@@ -152,8 +152,10 @@ fn r3_suppression_requires_reason() {
 #[test]
 fn r4_hashmap_in_wire_file() {
     let src = "use std::collections::HashMap;\npub fn render(m: &HashMap<String, u32>) -> String {\n    format!(\"{}\", m.len())\n}\n";
-    let got = rules_at("crates/serve/src/json.rs", src);
-    assert_eq!(got, vec!["R4", "R4"]);
+    // Every file that renders wire output, the shared endpoint included.
+    for wire_file in ["crates/serve/src/json.rs", "crates/serve/src/endpoint.rs"] {
+        assert_eq!(rules_at(wire_file, src), vec!["R4", "R4"], "{wire_file}");
+    }
     // The same code is fine in a non-wire serve file (order never leaks).
     assert!(rules_at("crates/serve/src/registry.rs", src).is_empty());
 }

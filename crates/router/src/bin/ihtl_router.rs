@@ -3,7 +3,7 @@
 //! §14). Speaks the same line-delimited JSON protocol as the workers.
 
 use ihtl_router::{Router, RouterConfig};
-use ihtl_serve::argv::{parse_or_exit, FlagSpec};
+use ihtl_serve::argv::{announce_listening, parse_or_exit, FlagSpec, PORT_FILE};
 
 const FLAGS: &[FlagSpec] = &[
     FlagSpec {
@@ -21,11 +21,7 @@ const FLAGS: &[FlagSpec] = &[
         value: Some("N"),
         help: "connect/read/write timeout per worker RPC in ms (default 30000)",
     },
-    FlagSpec {
-        name: "port-file",
-        value: Some("PATH"),
-        help: "write the bound port number to PATH after binding",
-    },
+    PORT_FILE,
 ];
 
 fn main() {
@@ -52,23 +48,12 @@ fn main() {
         eprintln!("error: {msg}");
         std::process::exit(2);
     }
-    let port_file = args.get("port-file").map(str::to_string);
 
-    let router = match Router::bind(cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: binding listener: {e}");
-            std::process::exit(1);
-        }
-    };
-    let addr = router.local_addr();
-    if let Some(path) = port_file {
-        if let Err(e) = std::fs::write(&path, format!("{}\n", addr.port())) {
-            eprintln!("error: writing port file '{path}': {e}");
-            std::process::exit(1);
-        }
-    }
-    println!("ihtl-router listening on {addr}");
+    let router = Router::bind(cfg).unwrap_or_else(|e| {
+        eprintln!("error: binding listener: {e}");
+        std::process::exit(1);
+    });
+    announce_listening("ihtl-router", &args, router.local_addr());
     router.run();
     println!("ihtl-router stopped");
 }

@@ -24,15 +24,20 @@
 //! `read`/`write` on a worker connection). Worker connections live in
 //! per-request [`WorkerLink`]s, never shared across threads.
 
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::ErrorKind;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use ihtl_apps::{run_job, SpmvEngine};
-use ihtl_serve::proto::{EngineChoice, GraphSource, GraphView, Monoid, Op, Request, WireJob};
-use ihtl_serve::{fnv1a_checksum, Json};
+use ihtl_serve::endpoint::{wire_line, Endpoint, LineClient};
+use ihtl_serve::proto::{
+    error_reply, ok_reply, push_result_tail, result_reply, sweep_line, u64_array, EngineChoice,
+    GraphSource, GraphView, Monoid, Op, Request, WireJob,
+};
+use ihtl_serve::stats::bump;
+use ihtl_serve::{fnv1a_checksum, read_ok, write_ok, Json};
 
 /// Router configuration.
 #[derive(Clone, Debug)]
@@ -103,17 +108,16 @@ struct RouterState {
     cfg: RouterConfig,
     placements: RwLock<Vec<PlacementEntry>>,
     stats: RouterStats,
-    shutting_down: AtomicBool,
 }
 
-/// One connection to one worker, used by exactly one thread. `rpc` opens
+/// One connection to one worker, used by exactly one thread. `call` opens
 /// lazily, retries a failed exchange once on a fresh connection (every
 /// router→worker op is idempotent), and reports errors prefixed with the
 /// worker address so multi-worker failures are attributable.
 struct WorkerLink {
     addr: String,
     timeout: Duration,
-    conn: Option<(TcpStream, BufReader<TcpStream>)>,
+    conn: Option<LineClient>,
     /// Incremented on each reconnect-after-failure, drained by the caller
     /// into the router-wide counter (the link itself has no state access).
     retries: u64,
@@ -124,67 +128,33 @@ impl WorkerLink {
         WorkerLink { addr: addr.to_string(), timeout, conn: None, retries: 0 }
     }
 
-    fn connect(&self) -> Result<(TcpStream, BufReader<TcpStream>), String> {
-        let sockaddr: SocketAddr = self
-            .addr
-            .to_socket_addrs()
-            .map_err(|e| format!("worker {}: bad address: {e}", self.addr))?
-            .next()
-            .ok_or_else(|| format!("worker {}: address resolves to nothing", self.addr))?;
-        let stream = TcpStream::connect_timeout(&sockaddr, self.timeout)
-            .map_err(|e| format!("worker {}: connect failed: {e}", self.addr))?;
-        let _ = stream.set_read_timeout(Some(self.timeout));
-        let _ = stream.set_write_timeout(Some(self.timeout));
-        let reader = BufReader::new(
-            stream.try_clone().map_err(|e| format!("worker {}: clone failed: {e}", self.addr))?,
-        );
-        Ok((stream, reader))
+    fn connect(&self) -> Result<LineClient, String> {
+        LineClient::connect(&self.addr, Some(self.timeout))
+            .map_err(|e| format!("worker {}: connect failed: {e}", self.addr))
     }
 
-    fn exchange(
-        conn: &mut (TcpStream, BufReader<TcpStream>),
-        line: &str,
-    ) -> Result<String, std::io::Error> {
-        let (writer, reader) = conn;
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        let mut reply = String::new();
-        let n = reader.read_line(&mut reply)?;
-        if n == 0 {
-            return Err(std::io::Error::new(ErrorKind::UnexpectedEof, "worker closed connection"));
-        }
-        Ok(reply)
-    }
-
-    /// Sends one pre-rendered request line and returns the parsed reply.
-    /// One retry on a fresh connection: a worker restart between jobs (or
-    /// an idle-timeout disconnect) looks like a dead cached socket, and
-    /// every op the router sends is safe to repeat.
-    fn rpc(&mut self, line: &str) -> Result<Json, String> {
+    /// Sends one pre-rendered request ([`wire_line`]) and returns the
+    /// worker's `ok` reply; a worker-side error comes back as `Err` with the
+    /// worker's message, prefixed with its address. One retry on a fresh
+    /// connection: a worker restart between jobs (or an idle-timeout
+    /// disconnect) looks like a dead cached socket, and every op the router
+    /// sends is safe to repeat.
+    fn call(&mut self, line: &str) -> Result<Json, String> {
         let mut conn = match self.conn.take() {
             Some(c) => c,
             None => self.connect()?,
         };
-        let reply = match Self::exchange(&mut conn, line) {
+        let reply = match conn.exchange(line) {
             Ok(r) => r,
             Err(_) => {
                 self.retries += 1;
-                let mut fresh = self.connect()?;
-                let r = Self::exchange(&mut fresh, line)
-                    .map_err(|e| format!("worker {}: {e}", self.addr))?;
-                conn = fresh;
-                r
+                conn = self.connect()?;
+                conn.exchange(line).map_err(|e| format!("worker {}: {e}", self.addr))?
             }
         };
         self.conn = Some(conn);
-        Json::parse(&reply).map_err(|e| format!("worker {}: bad reply: {e}", self.addr))
-    }
-
-    /// `rpc` plus the `ok` check: a worker-side error comes back as `Err`
-    /// with the worker's message, prefixed with its address.
-    fn call(&mut self, line: &str) -> Result<Json, String> {
-        let reply = self.rpc(line)?;
+        let reply =
+            Json::parse(&reply).map_err(|e| format!("worker {}: bad reply: {e}", self.addr))?;
         if reply.get("ok").and_then(Json::as_bool) == Some(true) {
             Ok(reply)
         } else {
@@ -192,6 +162,43 @@ impl WorkerLink {
             Err(format!("worker {}: {msg}", self.addr))
         }
     }
+
+    /// `call` for the ops that answer with a whole-graph vector: field
+    /// `key` of the reply as exact `u64`s, exactly `n` of them.
+    fn call_vector(&mut self, line: &str, key: &str, n: usize) -> Result<Vec<u64>, String> {
+        let reply = self.call(line)?;
+        let v = u64_array(&reply, key).map_err(|e| format!("worker {}: {e}", self.addr))?;
+        if v.len() != n {
+            return Err(format!(
+                "worker {}: {key} has {} entries, expected {n}",
+                self.addr,
+                v.len()
+            ));
+        }
+        Ok(v)
+    }
+}
+
+/// Runs `f(k, link k)` for every worker at once, one scoped thread each, and
+/// returns the outcomes in worker order.
+fn fan_out<T: Send>(
+    links: &mut [WorkerLink],
+    f: impl Fn(usize, &mut WorkerLink) -> Result<T, String> + Sync,
+) -> Vec<Result<T, String>> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = links
+            .iter_mut()
+            .enumerate()
+            .map(|(k, link)| {
+                let f = &f;
+                s.spawn(move || f(k, link))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|_| Err("worker fan-out thread panicked".to_string())))
+            .collect()
+    })
 }
 
 /// An [`SpmvEngine`] whose edge sweep is a parallel fan-out of `sweep`
@@ -218,10 +225,7 @@ struct RouterEngine {
 
 impl RouterEngine {
     fn sweep(&mut self, monoid: Monoid, x: &[f64], y: &mut [f64]) {
-        let identity = match monoid {
-            Monoid::Add => 0.0f64,
-            Monoid::Min => f64::INFINITY,
-        };
+        let identity = monoid.identity();
         y.iter_mut().for_each(|v| *v = identity);
         if self.failed.is_some() {
             return;
@@ -229,53 +233,9 @@ impl RouterEngine {
         self.sweeps += 1;
         // Every worker receives the identical request (same dataset name,
         // same full-length vector), so render the line once.
-        let line = Json::obj([
-            ("op", Json::from("sweep")),
-            ("dataset", Json::from(self.dataset.clone())),
-            ("engine", Json::from(self.engine_wire)),
-            ("monoid", Json::from(monoid.wire_name())),
-            ("view", Json::from(self.view.wire_name())),
-            ("xbits", Json::Arr(x.iter().map(|v| Json::from(v.to_bits())).collect())),
-        ])
-        .to_string();
+        let line = sweep_line(&self.dataset, self.engine_wire, monoid, self.view, x);
         let n = self.n;
-        let results: Vec<Result<Vec<u64>, String>> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .links
-                .iter_mut()
-                .map(|link| {
-                    let line = &line;
-                    s.spawn(move || {
-                        let reply = link.call(line)?;
-                        let ybits = reply
-                            .get("ybits")
-                            .and_then(Json::as_arr)
-                            .ok_or_else(|| format!("worker {}: reply lacks ybits", link.addr))?;
-                        if ybits.len() != n {
-                            return Err(format!(
-                                "worker {}: ybits has {} entries, expected {n}",
-                                link.addr,
-                                ybits.len()
-                            ));
-                        }
-                        ybits
-                            .iter()
-                            .map(|b| {
-                                b.as_u64().ok_or_else(|| {
-                                    format!("worker {}: non-integer ybits entry", link.addr)
-                                })
-                            })
-                            .collect::<Result<Vec<u64>, String>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| Err("worker fan-out thread panicked".to_string()))
-                })
-                .collect()
-        });
+        let results = fan_out(&mut self.links, |_, link| link.call_vector(&line, "ybits", n));
         for (k, result) in results.into_iter().enumerate() {
             match result {
                 Ok(ybits) => {
@@ -325,46 +285,17 @@ impl SpmvEngine for RouterEngine {
     }
 }
 
-/// A bound (not yet running) router.
+/// A bound (not yet running) router: the shared [`Endpoint`] plus the state
+/// its dispatcher works on.
 pub struct Router {
-    listener: TcpListener,
-    addr: SocketAddr,
+    endpoint: Endpoint,
     state: Arc<RouterState>,
 }
 
-/// Handle to a router running on a background thread.
-pub struct RouterHandle {
-    addr: SocketAddr,
-    state: Arc<RouterState>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    /// The bound address (useful with ephemeral ports).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the accept loop and joins it. Workers are independent
-    /// processes and are left running.
-    pub fn shutdown(mut self) {
-        request_shutdown(&self.state, self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn request_shutdown(state: &RouterState, addr: SocketAddr) {
-    // ORDERING: SeqCst — shutdown is a once-per-process edge; the accept
-    // loop's SeqCst load must see it in total order with the wake-up
-    // connection below.
-    if state.shutting_down.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    // Wake the blocking accept() with a throwaway connection.
-    let _ = TcpStream::connect(addr);
-}
+/// Handle to a router running on a background thread. `shutdown` stops the
+/// accept loop and joins it; workers are independent processes and are left
+/// running.
+pub type RouterHandle = ihtl_serve::endpoint::Handle;
 
 impl Router {
     /// Binds the listening socket. Requires at least one worker: a router
@@ -377,120 +308,32 @@ impl Router {
                 "router requires at least one --workers address",
             ));
         }
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
+        let endpoint =
+            Endpoint::bind(&cfg.addr, "ihtl-router", cfg.max_line_bytes, cfg.idle_timeout)?;
         let state = Arc::new(RouterState {
             cfg,
             placements: RwLock::new(Vec::new()),
             stats: RouterStats::default(),
-            shutting_down: AtomicBool::new(false),
         });
-        Ok(Router { listener, addr, state })
+        Ok(Router { endpoint, state })
     }
 
     /// The bound address (resolved once at bind time).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.endpoint.local_addr()
     }
 
     /// Runs the accept loop on the current thread until shutdown.
     pub fn run(self) {
-        let addr = self.addr;
-        for conn in self.listener.incoming() {
-            // ORDERING: SeqCst — pairs with request_shutdown's swap.
-            if self.state.shutting_down.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = conn else { continue };
-            let state = Arc::clone(&self.state);
-            let _ = std::thread::Builder::new()
-                .name("ihtl-router-conn".to_string())
-                .spawn(move || handle_connection(stream, &state, addr));
-        }
+        let state = self.state;
+        self.endpoint.run(move |req| dispatch(&state, req), || {});
     }
 
     /// Runs the accept loop on a background thread.
     pub fn spawn(self) -> std::io::Result<RouterHandle> {
-        let addr = self.local_addr();
-        let state = Arc::clone(&self.state);
-        let accept_thread = std::thread::Builder::new()
-            .name("ihtl-router-accept".to_string())
-            .spawn(move || self.run())?;
-        Ok(RouterHandle { addr, state, accept_thread: Some(accept_thread) })
+        let Router { endpoint, state } = self;
+        endpoint.spawn(move |endpoint| Router { endpoint, state }.run())
     }
-}
-
-fn handle_connection(stream: TcpStream, state: &Arc<RouterState>, addr: SocketAddr) {
-    if state.cfg.idle_timeout.is_some() {
-        let _ = stream.set_read_timeout(state.cfg.idle_timeout);
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let mut limited = (&mut reader).take(state.cfg.max_line_bytes as u64);
-        match limited.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                let _ = writeln!(writer, "{}", error_reply(None, "idle timeout, closing"));
-                return;
-            }
-            Err(_) => return,
-        }
-        if !line.ends_with('\n') && line.len() >= state.cfg.max_line_bytes {
-            let _ = writeln!(writer, "{}", error_reply(None, "request line too long"));
-            return;
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let reply = match Request::parse(trimmed) {
-            Err(msg) => error_reply(None, &msg),
-            Ok(req) => {
-                let is_shutdown = req.op == Op::Shutdown;
-                let reply = dispatch(state, req);
-                if is_shutdown {
-                    let _ = writeln!(writer, "{reply}");
-                    let _ = writer.flush();
-                    let _ = writer.shutdown(NetShutdown::Both);
-                    request_shutdown(state, addr);
-                    return;
-                }
-                reply
-            }
-        };
-        if writeln!(writer, "{reply}").is_err() {
-            return;
-        }
-    }
-}
-
-fn error_reply(id: Option<Json>, msg: &str) -> Json {
-    let mut pairs = Vec::new();
-    if let Some(id) = id {
-        pairs.push(("id".to_string(), id));
-    }
-    pairs.push(("ok".to_string(), Json::Bool(false)));
-    pairs.push(("error".to_string(), Json::from(msg)));
-    Json::Obj(pairs)
-}
-
-fn ok_reply(id: Option<Json>, body: Json) -> Json {
-    let mut pairs = Vec::new();
-    if let Some(id) = id {
-        pairs.push(("id".to_string(), id));
-    }
-    pairs.push(("ok".to_string(), Json::Bool(true)));
-    if let Json::Obj(fields) = body {
-        pairs.extend(fields);
-    }
-    Json::Obj(pairs)
 }
 
 fn dispatch(state: &Arc<RouterState>, req: Request) -> Json {
@@ -504,10 +347,7 @@ fn dispatch(state: &Arc<RouterState>, req: Request) -> Json {
             ]),
         ),
         Op::Shutdown => ok_reply(id, Json::obj([("shutting_down", Json::Bool(true))])),
-        Op::Register { name, source } => match handle_register(state, &name, &source) {
-            Ok(body) => ok_reply(id, body),
-            Err(msg) => error_reply(id, &msg),
-        },
+        Op::Register { name, source } => result_reply(id, handle_register(state, &name, &source)),
         Op::Job { dataset, engine, job, timeout_ms, nocache: _, top_k, include_values, trace } => {
             if trace {
                 return error_reply(id, "trace is not supported by the router");
@@ -518,13 +358,10 @@ fn dispatch(state: &Arc<RouterState>, req: Request) -> Json {
                     "timeout_ms is not supported by the router (set --worker-timeout-ms instead)",
                 );
             }
-            match handle_job(state, &dataset, engine, &job, top_k, include_values) {
-                Ok(body) => ok_reply(id, body),
-                Err(msg) => error_reply(id, &msg),
-            }
+            result_reply(id, handle_job(state, &dataset, engine, &job, top_k, include_values))
         }
         Op::List => {
-            let entries = read_placements(state);
+            let entries = read_ok(&state.placements).clone();
             let datasets: Vec<Json> = entries
                 .iter()
                 .map(|e| {
@@ -561,20 +398,8 @@ fn dispatch(state: &Arc<RouterState>, req: Request) -> Json {
     }
 }
 
-/// Reads the placement table, recovering from poisoning (a panicking
-/// connection thread must not take the whole router down).
-fn read_placements(state: &RouterState) -> Vec<PlacementEntry> {
-    state.placements.read().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
-}
-
 fn find_placement(state: &RouterState, dataset: &str) -> Option<PlacementEntry> {
-    state
-        .placements
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .iter()
-        .find(|e| e.name == dataset)
-        .cloned()
+    read_ok(&state.placements).iter().find(|e| e.name == dataset).cloned()
 }
 
 fn fresh_links(state: &RouterState) -> Vec<WorkerLink> {
@@ -595,45 +420,22 @@ fn handle_register(
     }
     let source_desc = source.describe();
     if let Some(existing) = find_placement(state, name) {
-        return if existing.source_desc == source_desc {
-            Ok(register_body(&existing))
-        } else {
-            Err(format!("dataset '{name}' already registered with source {}", existing.source_desc))
-        };
+        return reregister(&existing, &source_desc);
     }
     let count = state.cfg.workers.len();
-    let base_json = source.to_json();
     let mut links = fresh_links(state);
     let _span = ihtl_trace::span("router_register").with_arg(count as u64);
     // Fan the shard registrations out in parallel: each worker loads (or
     // generates) the base graph and extracts its own shard, so the wall
     // clock is one load, not W of them.
-    let replies: Vec<Result<Json, String>> = std::thread::scope(|s| {
-        let handles: Vec<_> = links
-            .iter_mut()
-            .enumerate()
-            .map(|(k, link)| {
-                let req = Json::obj([
-                    ("op", Json::from("register")),
-                    ("name", Json::from(name)),
-                    (
-                        "source",
-                        Json::obj([
-                            ("type", Json::from("shard")),
-                            ("index", Json::from(k)),
-                            ("count", Json::from(count)),
-                            ("base", base_json.clone()),
-                        ]),
-                    ),
-                ])
-                .to_string();
-                s.spawn(move || link.call(&req))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| Err("worker fan-out thread panicked".to_string())))
-            .collect()
+    let replies = fan_out(&mut links, |index, link| {
+        let shard = GraphSource::Shard { index, count, base: Box::new(source.clone()) };
+        let req = Json::obj([
+            ("op", Json::from("register")),
+            ("name", Json::from(name)),
+            ("source", shard.to_json()),
+        ]);
+        link.call(&wire_line(&req))
     });
     drain_retries(state, &links);
     let mut ranges = vec![(0u32, 0u32); count];
@@ -668,44 +470,18 @@ fn handle_register(
     }
     // Fetch and sum the per-shard out-degree contributions. Integer
     // addition, so the sum is the base graph's exact out-degree vector.
-    let degree_req = Json::obj([
+    let degree_req = wire_line(&Json::obj([
         ("op", Json::from("degrees")),
         ("dataset", Json::from(name)),
         ("view", Json::from("raw")),
-    ])
-    .to_string();
-    let degree_replies: Vec<Result<Json, String>> = std::thread::scope(|s| {
-        let handles: Vec<_> = links
-            .iter_mut()
-            .map(|link| {
-                let req = &degree_req;
-                s.spawn(move || link.call(req))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| Err("worker fan-out thread panicked".to_string())))
-            .collect()
-    });
+    ]));
+    let shard_degrees =
+        fan_out(&mut links, |_, link| link.call_vector(&degree_req, "degrees", n_vertices));
     drain_retries(state, &links);
     let mut degrees = vec![0u64; n_vertices];
-    for (k, reply) in degree_replies.iter().enumerate() {
-        let reply = reply.as_ref().map_err(Clone::clone)?;
-        let shard_degrees = reply
-            .get("degrees")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("worker {}: degrees reply lacks degrees", links[k].addr))?;
-        if shard_degrees.len() != n_vertices {
-            return Err(format!(
-                "worker {}: degrees has {} entries, expected {n_vertices}",
-                links[k].addr,
-                shard_degrees.len()
-            ));
-        }
-        for (acc, d) in degrees.iter_mut().zip(shard_degrees) {
-            *acc += d
-                .as_u64()
-                .ok_or_else(|| format!("worker {}: non-integer degree entry", links[k].addr))?;
+    for shard in shard_degrees {
+        for (acc, d) in degrees.iter_mut().zip(shard?) {
+            *acc += d;
         }
     }
     let out_degrees: Vec<u32> = degrees
@@ -725,20 +501,28 @@ fn handle_register(
     // Two clients racing to register the same name: first writer wins, and
     // a same-source loser adopts the winner's entry (idempotent), exactly
     // like the re-registration path above.
-    let mut table = state.placements.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut table = write_ok(&state.placements);
     if let Some(existing) = table.iter().find(|e| e.name == name) {
-        return if existing.source_desc == entry.source_desc {
-            Ok(register_body(existing))
-        } else {
-            Err(format!("dataset '{name}' already registered with source {}", existing.source_desc))
-        };
+        return reregister(existing, &entry.source_desc);
     }
     let body = register_body(&entry);
     table.push(entry);
     drop(table);
-    // ORDERING: Relaxed — stats counter only.
-    state.stats.datasets_registered.fetch_add(1, Ordering::Relaxed);
+    bump(&state.stats.datasets_registered, 1);
     Ok(body)
+}
+
+/// Registering a taken name: idempotent for the same source, an error for
+/// a different one.
+fn reregister(existing: &PlacementEntry, source_desc: &str) -> Result<Json, String> {
+    if existing.source_desc == source_desc {
+        Ok(register_body(existing))
+    } else {
+        Err(format!(
+            "dataset '{}' already registered with source {}",
+            existing.name, existing.source_desc
+        ))
+    }
 }
 
 fn register_body(entry: &PlacementEntry) -> Json {
@@ -779,8 +563,7 @@ fn handle_job(
     // Admission validation, same contract as a worker: rejected jobs report
     // no compute seconds, touch no worker, and still count as failed.
     spec.validate(entry.n_vertices, None).inspect_err(|_| {
-        // ORDERING: Relaxed — stats counter only.
-        state.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
+        bump(&state.stats.jobs_failed, 1);
     })?;
     let view = if spec.needs_symmetrized() { GraphView::Sym } else { GraphView::Raw };
     let mut eng = RouterEngine {
@@ -797,19 +580,15 @@ fn handle_job(
     let _span = ihtl_trace::span("router_job").with_arg(eng.links.len() as u64);
     let result = run_job(&mut eng, None, spec);
     drain_retries(state, &eng.links);
-    // ORDERING: Relaxed — stats counter only.
-    state.stats.sweeps_fanned.fetch_add(eng.sweeps, Ordering::Relaxed);
+    bump(&state.stats.sweeps_fanned, eng.sweeps);
     if let Some(msg) = eng.failed {
-        // ORDERING: Relaxed — stats counter only.
-        state.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
+        bump(&state.stats.jobs_failed, 1);
         return Err(msg);
     }
     let out = result.inspect_err(|_| {
-        // ORDERING: Relaxed — stats counter only.
-        state.stats.jobs_failed.fetch_add(1, Ordering::Relaxed);
+        bump(&state.stats.jobs_failed, 1);
     })?;
-    // ORDERING: Relaxed — stats counter only.
-    state.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
+    bump(&state.stats.jobs_completed, 1);
     let mut pairs = vec![
         ("dataset".to_string(), Json::from(dataset)),
         ("engine".to_string(), Json::from(engine.wire_name())),
@@ -823,27 +602,7 @@ fn handle_job(
         ("checksum".to_string(), Json::from(fnv1a_checksum(&out.values))),
         ("shards".to_string(), Json::from(entry.ranges.len())),
     ];
-    if top_k > 0 {
-        let mut idx: Vec<usize> = (0..out.values.len()).collect();
-        idx.sort_by(|&a, &b| {
-            out.values[b]
-                .partial_cmp(&out.values[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let top: Vec<Json> = idx
-            .into_iter()
-            .take(top_k)
-            .map(|i| Json::obj([("vertex", Json::from(i)), ("value", Json::Num(out.values[i]))]))
-            .collect();
-        pairs.push(("top".to_string(), Json::Arr(top)));
-    }
-    if include_values {
-        pairs.push((
-            "values".to_string(),
-            Json::Arr(out.values.iter().map(|&v| Json::Num(v)).collect()),
-        ));
-    }
+    push_result_tail(&mut pairs, &out.values, top_k, include_values);
     Ok(Json::Obj(pairs))
 }
 
@@ -851,8 +610,7 @@ fn handle_job(
 fn drain_retries(state: &RouterState, links: &[WorkerLink]) {
     let total: u64 = links.iter().map(|l| l.retries).sum();
     if total > 0 {
-        // ORDERING: Relaxed — stats counter only.
-        state.stats.worker_retries.fetch_add(total, Ordering::Relaxed);
+        bump(&state.stats.worker_retries, total);
     }
 }
 
@@ -860,33 +618,21 @@ fn handle_stats(state: &Arc<RouterState>) -> Json {
     // Ping every worker so `stats` doubles as a fleet health check. Done
     // on fresh links so a wedged worker costs one timeout, not a hang.
     let mut links = fresh_links(state);
-    let ping = Json::obj([("op", Json::from("ping"))]).to_string();
-    let health: Vec<Json> = std::thread::scope(|s| {
-        let handles: Vec<_> = links
-            .iter_mut()
-            .map(|link| {
-                let ping = &ping;
-                s.spawn(move || {
-                    let reachable = link.call(ping).is_ok();
-                    Json::obj([
-                        ("addr", Json::from(link.addr.clone())),
-                        ("reachable", Json::Bool(reachable)),
-                    ])
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| Json::obj([("reachable", Json::Bool(false))])))
-            .collect()
-    });
+    let ping = wire_line(&Json::obj([("op", Json::from("ping"))]));
+    let health: Vec<Json> = fan_out(&mut links, |_, link| link.call(&ping))
+        .iter()
+        .zip(&state.cfg.workers)
+        .map(|(pong, addr)| {
+            Json::obj([("addr", Json::from(addr.clone())), ("reachable", Json::Bool(pong.is_ok()))])
+        })
+        .collect();
     let stats = &state.stats;
     // ORDERING: Relaxed — stats reads; a momentarily torn view across
     // counters is fine for a monitoring endpoint.
     let load = |a: &AtomicU64| Json::from(a.load(Ordering::Relaxed));
     Json::obj([
         ("role", Json::from("router")),
-        ("datasets", Json::from(read_placements(state).len())),
+        ("datasets", Json::from(read_ok(&state.placements).len())),
         ("datasets_registered", load(&stats.datasets_registered)),
         ("jobs_completed", load(&stats.jobs_completed)),
         ("jobs_failed", load(&stats.jobs_failed)),

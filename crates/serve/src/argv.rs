@@ -1,6 +1,6 @@
 //! A tiny shared command-line parser (std-only).
 //!
-//! Shared by `ihtl-serve`, `ihtl-cli`, and `bench_spmv`: every binary
+//! Shared by `ihtl-serve`, `ihtl-router`, `ihtl-cli`, and `bench_spmv`: every binary
 //! declares its flags as [`FlagSpec`]s, gets a generated usage message, and
 //! unknown flags exit with code 2 plus that usage text instead of a panic.
 //! The core [`parse`] function is pure (no process exit, no stderr) so it
@@ -142,6 +142,25 @@ pub fn parse_or_exit(
             std::process::exit(2);
         }
     }
+}
+
+/// The `--port-file` flag both daemons take (see [`announce_listening`]).
+pub const PORT_FILE: FlagSpec = FlagSpec {
+    name: "port-file",
+    value: Some("PATH"),
+    help: "write the bound port number to PATH after binding",
+};
+
+/// A daemon's last step before serving: honours `--port-file`, then prints
+/// the "listening" line that scripts wait for.
+pub fn announce_listening(program: &str, args: &ParsedArgs, addr: std::net::SocketAddr) {
+    if let Some(path) = args.get("port-file") {
+        if let Err(e) = std::fs::write(path, format!("{}\n", addr.port())) {
+            eprintln!("error: writing port file '{path}': {e}");
+            std::process::exit(1);
+        }
+    }
+    println!("{program} listening on {addr}");
 }
 
 #[cfg(test)]

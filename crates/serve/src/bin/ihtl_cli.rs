@@ -14,10 +14,8 @@
 //! ihtl-cli list | stats | shutdown
 //! ```
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-
 use ihtl_serve::argv::{parse_or_exit, FlagSpec, ParsedArgs};
+use ihtl_serve::endpoint::{wire_line, LineClient};
 use ihtl_serve::Json;
 
 const FLAGS: &[FlagSpec] = &[
@@ -92,18 +90,14 @@ fn build_request(args: &ParsedArgs) -> Json {
                 num_field(args, "rmat-scale", "scale", &mut source);
                 num_field(args, "edges", "edges", &mut source);
                 num_field(args, "seed", "seed", &mut source);
-            } else if let Some(key) = args.get("suite") {
-                source.push(("type", Json::from("suite")));
-                source.push(("key", Json::from(key)));
-            } else if let Some(path) = args.get("edgelist") {
-                source.push(("type", Json::from("edgelist")));
-                source.push(("path", Json::from(path)));
-            } else if let Some(path) = args.get("graph-image") {
-                source.push(("type", Json::from("graph-image")));
-                source.push(("path", Json::from(path)));
-            } else if let Some(path) = args.get("ihtl-image") {
-                source.push(("type", Json::from("ihtl-image")));
-                source.push(("path", Json::from(path)));
+            } else if let Some((kind, operand)) = ["suite", "edgelist", "graph-image", "ihtl-image"]
+                .into_iter()
+                .find_map(|flag| args.get(flag).map(|v| (flag, v)))
+            {
+                // The flag names the wire source type; only `suite` calls
+                // its operand `key`.
+                source.push(("type", Json::from(kind)));
+                source.push((if kind == "suite" { "key" } else { "path" }, Json::from(operand)));
             } else {
                 die("register needs a source: --rmat-scale, --suite, --edgelist, --graph-image, or --ihtl-image");
             }
@@ -160,38 +154,14 @@ fn main() {
     let request = build_request(&args);
     let addr = args.get_or("addr", "127.0.0.1:7411");
 
-    let stream = match TcpStream::connect(addr) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: connecting to {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: cloning connection to {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if writeln!(writer, "{request}").is_err() {
-        eprintln!("error: sending request to {addr}");
-        std::process::exit(1);
-    }
-    let mut reply_line = String::new();
     // A clean EOF (server closed without replying) and an I/O failure are
-    // different diagnoses — a reset mid-read must not masquerade as a close.
-    match BufReader::new(stream).read_line(&mut reply_line) {
-        Ok(0) => {
-            eprintln!("error: server closed the connection without replying");
+    // different diagnoses; `exchange` reports the former as `UnexpectedEof`.
+    let reply_line = LineClient::connect(addr, None)
+        .and_then(|mut client| client.exchange(&wire_line(&request)))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {addr}: {e}");
             std::process::exit(1);
-        }
-        Ok(_) => {}
-        Err(e) => {
-            eprintln!("error: reading reply from {addr}: {e}");
-            std::process::exit(1);
-        }
-    }
+        });
     print!("{reply_line}");
     match Json::parse(reply_line.trim()) {
         Ok(reply) if reply.get("ok").and_then(Json::as_bool) == Some(true) => {}

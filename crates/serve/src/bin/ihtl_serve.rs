@@ -1,7 +1,7 @@
 //! The `ihtl-serve` daemon: binds a TCP port and serves graph analytics
 //! over the line-delimited JSON protocol (see DESIGN.md).
 
-use ihtl_serve::argv::{parse_or_exit, FlagSpec};
+use ihtl_serve::argv::{announce_listening, parse_or_exit, FlagSpec, PORT_FILE};
 use ihtl_serve::{Server, ServerConfig};
 
 const FLAGS: &[FlagSpec] = &[
@@ -10,11 +10,7 @@ const FLAGS: &[FlagSpec] = &[
         value: Some("HOST:PORT"),
         help: "bind address (default 127.0.0.1:7411; port 0 = ephemeral)",
     },
-    FlagSpec {
-        name: "port-file",
-        value: Some("PATH"),
-        help: "write the bound port number to PATH after binding",
-    },
+    PORT_FILE,
     FlagSpec { name: "queue", value: Some("N"), help: "admission queue capacity (default 16)" },
     FlagSpec { name: "executors", value: Some("N"), help: "executor threads (default 1)" },
     FlagSpec {
@@ -69,23 +65,12 @@ fn main() {
         eprintln!("error: {msg}");
         std::process::exit(2);
     }
-    let port_file = args.get("port-file").map(str::to_string);
 
-    let server = match Server::bind(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: binding listener: {e}");
-            std::process::exit(1);
-        }
-    };
-    let addr = server.local_addr();
-    if let Some(path) = port_file {
-        if let Err(e) = std::fs::write(&path, format!("{}\n", addr.port())) {
-            eprintln!("error: writing port file '{path}': {e}");
-            std::process::exit(1);
-        }
-    }
-    println!("ihtl-serve listening on {addr}");
+    let server = Server::bind(cfg).unwrap_or_else(|e| {
+        eprintln!("error: binding listener: {e}");
+        std::process::exit(1);
+    });
+    announce_listening("ihtl-serve", &args, server.local_addr());
     server.run();
     println!("ihtl-serve stopped");
 }

@@ -14,9 +14,11 @@
 //!   `overloaded` rejection, per-job deadlines, panic isolation;
 //! * [`cache`] — an LRU result cache exploiting the determinism of every
 //!   analytic here (same request ⇒ bitwise-same answer);
-//! * [`proto`] + [`server`] — a line-delimited JSON protocol over plain
-//!   `std::net` TCP, with a `stats` endpoint reporting queue depth, cache
-//!   hit rates, latency histograms, and live per-engine ns/edge;
+//! * [`proto`] + [`endpoint`] + [`server`] — a line-delimited JSON protocol
+//!   over plain `std::net` TCP: the request/reply vocabulary, the one
+//!   listener/connection loop/client the worker and the router share, and
+//!   the worker's dispatcher, with a `stats` op reporting queue depth,
+//!   cache hit rates, latency histograms, and live per-engine ns/edge;
 //! * [`json`] — a hand-rolled JSON parser/serializer (the workspace builds
 //!   with zero external crates);
 //! * [`argv`] — the tiny flag parser shared by `ihtl-serve`, `ihtl-cli`,
@@ -38,6 +40,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockW
 pub mod argv;
 pub mod batch;
 pub mod cache;
+pub mod endpoint;
 pub mod json;
 pub mod proto;
 pub mod registry;

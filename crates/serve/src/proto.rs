@@ -7,6 +7,8 @@
 //! `"error"` with a human-readable message and keep the connection open.
 //! See DESIGN.md for the full grammar.
 
+use std::fmt::Write as _;
+
 use ihtl_apps::{EngineKind, JobSpec};
 
 use crate::json::Json;
@@ -360,6 +362,17 @@ impl Monoid {
         }
     }
 
+    /// The monoid's identity element — what a sweep leaves in rows with no
+    /// in-edges, and what makes cross-shard merges exact (a non-owner's
+    /// entry is *exactly* the identity, so the owner's fold is the full
+    /// fold).
+    pub fn identity(self) -> f64 {
+        match self {
+            Monoid::Add => 0.0,
+            Monoid::Min => f64::INFINITY,
+        }
+    }
+
     fn from_str(s: &str) -> Result<Monoid, String> {
         match s {
             "add" => Ok(Monoid::Add),
@@ -403,6 +416,18 @@ impl Request {
         let id = v.get("id").cloned();
         let op_name =
             v.get("op").and_then(Json::as_str).ok_or("request requires a string 'op' field")?;
+        // `dataset` (job, sweep, degrees) and `engine` (job, sweep) read the
+        // same way wherever they appear.
+        let dataset = || {
+            v.get("dataset")
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or(format!("{op_name} requires a 'dataset' field"))
+        };
+        let engine = || match v.get("engine") {
+            None => Ok(EngineChoice::Fixed(EngineKind::Ihtl)),
+            Some(e) => engine_from_str(e.as_str().ok_or("'engine' must be a string")?),
+        };
         let op = match op_name {
             "ping" => Op::Ping,
             "list" => Op::List,
@@ -421,15 +446,7 @@ impl Request {
                 Op::Register { name: name.to_string(), source }
             }
             "job" => {
-                let dataset = v
-                    .get("dataset")
-                    .and_then(Json::as_str)
-                    .ok_or("job requires a 'dataset' field")?
-                    .to_string();
-                let engine = match v.get("engine") {
-                    None => EngineChoice::Fixed(EngineKind::Ihtl),
-                    Some(e) => engine_from_str(e.as_str().ok_or("'engine' must be a string")?)?,
-                };
+                let (dataset, engine) = (dataset()?, engine()?);
                 let job = WireJob::from_json(&v)?;
                 let timeout_ms = v.get("timeout_ms").and_then(Json::as_u64);
                 let nocache = v.get("nocache").and_then(Json::as_bool).unwrap_or(false);
@@ -452,45 +469,157 @@ impl Request {
                 Op::Trace { trace_id }
             }
             "sweep" => {
-                let dataset = v
-                    .get("dataset")
-                    .and_then(Json::as_str)
-                    .ok_or("sweep requires a 'dataset' field")?
-                    .to_string();
-                let engine = match v.get("engine") {
-                    None => EngineChoice::Fixed(EngineKind::Ihtl),
-                    Some(e) => engine_from_str(e.as_str().ok_or("'engine' must be a string")?)?,
-                };
+                let (dataset, engine) = (dataset()?, engine()?);
                 let monoid = Monoid::from_str(
                     v.get("monoid").and_then(Json::as_str).ok_or("sweep requires 'monoid'")?,
                 )?;
                 let view = GraphView::from_json(&v)?;
-                let xbits = v
-                    .get("xbits")
-                    .and_then(Json::as_arr)
-                    .ok_or("sweep requires an 'xbits' array")?
-                    .iter()
-                    .map(|b| b.as_u64().ok_or("xbits entries must be u64 bit patterns"))
-                    .collect::<Result<Vec<u64>, _>>()?;
-                Op::Sweep { dataset, engine, monoid, view, xbits }
+                Op::Sweep { dataset, engine, monoid, view, xbits: u64_array(&v, "xbits")? }
             }
-            "degrees" => {
-                let dataset = v
-                    .get("dataset")
-                    .and_then(Json::as_str)
-                    .ok_or("degrees requires a 'dataset' field")?
-                    .to_string();
-                Op::Degrees { dataset, view: GraphView::from_json(&v)? }
-            }
+            "degrees" => Op::Degrees { dataset: dataset()?, view: GraphView::from_json(&v)? },
             other => return Err(format!("unknown op '{other}'")),
         };
         Ok(Request { id, op })
     }
 }
 
+/// Every reply opens with the echoed `id` (if the request had one), then
+/// `ok`.
+fn reply_head(id: Option<Json>, ok: bool) -> Vec<(String, Json)> {
+    let mut pairs: Vec<(String, Json)> = id.map(|id| ("id".to_string(), id)).into_iter().collect();
+    pairs.push(("ok".to_string(), Json::Bool(ok)));
+    pairs
+}
+
+/// Builds the `{"ok":false,...}` reply.
+pub fn error_reply(id: Option<Json>, msg: &str) -> Json {
+    let mut pairs = reply_head(id, false);
+    pairs.push(("error".to_string(), Json::from(msg)));
+    Json::Obj(pairs)
+}
+
+/// Builds the `{"ok":true,...}` reply around a body object.
+pub fn ok_reply(id: Option<Json>, body: Json) -> Json {
+    let mut pairs = reply_head(id, true);
+    if let Json::Obj(fields) = body {
+        pairs.extend(fields);
+    }
+    Json::Obj(pairs)
+}
+
+/// The reply for a handler's outcome: its body under `ok`, or its message.
+pub fn result_reply(id: Option<Json>, result: Result<Json, String>) -> Json {
+    match result {
+        Ok(body) => ok_reply(id, body),
+        Err(msg) => error_reply(id, &msg),
+    }
+}
+
+/// Appends the optional tail of a job reply: the `top_k` highest-valued
+/// vertices (ties broken by vertex id) and/or the full value vector.
+pub fn push_result_tail(
+    pairs: &mut Vec<(String, Json)>,
+    values: &[f64],
+    top_k: usize,
+    include_values: bool,
+) {
+    if top_k > 0 {
+        let mut idx: Vec<usize> = (0..values.len()).collect();
+        idx.sort_by(|&a, &b| {
+            values[b].partial_cmp(&values[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
+        });
+        let top: Vec<Json> = idx
+            .into_iter()
+            .take(top_k)
+            .map(|i| Json::obj([("vertex", Json::from(i)), ("value", Json::Num(values[i]))]))
+            .collect();
+        pairs.push(("top".to_string(), Json::Arr(top)));
+    }
+    if include_values {
+        pairs.push((
+            "values".to_string(),
+            Json::Arr(values.iter().map(|&v| Json::Num(v)).collect()),
+        ));
+    }
+}
+
+/// Renders a sweep vector as f64 *bit patterns* (`xbits` / `ybits`): JSON
+/// has no NaN/∞ literals and SSSP/CC sweeps legitimately carry +∞.
+pub fn bits_to_json(values: &[f64]) -> Json {
+    Json::Arr(values.iter().map(|v| Json::from(v.to_bits())).collect())
+}
+
+/// The `sweep` request line the router sends each round, newline included.
+/// Rendered straight from the vector: a `Json` tree of it is 32 bytes per
+/// vertex, built and dropped every round on a connection thread whose malloc
+/// arena keeps the high-water mark. Byte-identical to rendering the tree
+/// (`engine`, `monoid` and `view` are wire identifiers, never escaped).
+pub fn sweep_line(
+    dataset: &str,
+    engine: &str,
+    monoid: Monoid,
+    view: GraphView,
+    x: &[f64],
+) -> String {
+    let mut line = String::with_capacity(128 + dataset.len() + 21 * x.len());
+    let (dataset, monoid, view) = (Json::from(dataset), monoid.wire_name(), view.wire_name());
+    // Writes into a String cannot fail.
+    let _ = write!(
+        line,
+        "{{\"op\":\"sweep\",\"dataset\":{dataset},\"engine\":\"{engine}\",\"monoid\":\"{monoid}\",\
+         \"view\":\"{view}\",\"xbits\":["
+    );
+    for (i, v) in x.iter().enumerate() {
+        let _ = write!(line, "{}{}", if i == 0 { "" } else { "," }, v.to_bits());
+    }
+    line.push_str("]}\n");
+    line
+}
+
+/// Reads field `key` of `obj` as an array of exact `u64`s — the decode side
+/// of `xbits`, `ybits` and `degrees`.
+pub fn u64_array(obj: &Json, key: &str) -> Result<Vec<u64>, String> {
+    obj.get(key)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("missing '{key}' array"))?
+        .iter()
+        .map(|b| b.as_u64().ok_or_else(|| format!("'{key}' entries must be unsigned integers")))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn replies_put_id_first_and_ok() {
+        let r = ok_reply(Some(Json::Num(4.0)), Json::obj([("x", Json::from(1u64))]));
+        assert_eq!(r.to_string(), "{\"id\":4,\"ok\":true,\"x\":1}");
+        let e = error_reply(None, "nope");
+        assert_eq!(e.to_string(), "{\"ok\":false,\"error\":\"nope\"}");
+    }
+
+    #[test]
+    fn sweep_line_is_the_tree_rendering_byte_for_byte() {
+        for x in [vec![], vec![0.0], vec![1.5, f64::INFINITY, -0.0, f64::NAN, 1e-300]] {
+            let tree = Json::obj([
+                ("op", Json::from("sweep")),
+                ("dataset", Json::from("g \"q\" }")),
+                ("engine", Json::from("pb")),
+                ("monoid", Json::from("min")),
+                ("view", Json::from("sym")),
+                ("xbits", bits_to_json(&x)),
+            ]);
+            let line = sweep_line("g \"q\" }", "pb", Monoid::Min, GraphView::Sym, &x);
+            assert_eq!(line, format!("{tree}\n"));
+            match Request::parse(line.trim_end()).unwrap().op {
+                Op::Sweep { xbits, .. } => {
+                    assert_eq!(xbits, x.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn parses_ping_with_id() {

@@ -1,5 +1,6 @@
-//! The TCP server: accept loop, per-connection line protocol, and the glue
-//! between registry, scheduler, cache, and stats.
+//! The worker's dispatcher: what each request means, and the glue between
+//! registry, scheduler, cache, and stats. The transport — listener,
+//! connection loop, reply framing — is [`crate::endpoint`].
 //!
 //! Connections are thread-per-client over line-delimited JSON. `ping`,
 //! `list`, `stats`, and `shutdown` are answered directly on the connection
@@ -10,8 +11,7 @@
 //! shipping the whole vector.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -21,13 +21,16 @@ use ihtl_core::IhtlConfig;
 
 use crate::batch::{BatchMember, BatchTicket, BatchedOutput, Coalescer};
 use crate::cache::ResultCache;
+use crate::endpoint::Endpoint;
 use crate::json::Json;
+use crate::lock_ok;
 use crate::proto::{
-    engine_wire_name, EngineChoice, GraphSource, GraphView, Monoid, Op, Request, WireJob,
+    bits_to_json, engine_wire_name, error_reply, ok_reply, push_result_tail, result_reply,
+    EngineChoice, GraphSource, GraphView, Monoid, Op, Request, WireJob,
 };
 use crate::registry::{Dataset, Registry};
 use crate::sched::{JobError, Scheduler, SubmitError};
-use crate::stats::ServeStats;
+use crate::stats::{bump, ServeStats};
 
 /// Server tunables. `Default` suits tests and the smoke script.
 #[derive(Clone, Debug)]
@@ -88,58 +91,28 @@ struct ServerState {
     cache: ResultCache,
     coalescer: Coalescer,
     stats: ServeStats,
-    shutting_down: AtomicBool,
     cfg: ServerConfig,
     /// Recent traced-job span trees, oldest first, keyed by trace id.
     traces: Mutex<VecDeque<(u64, Json)>>,
     next_trace_id: AtomicU64,
 }
 
-/// A bound (not yet running) server.
+/// A bound (not yet running) server: the shared [`Endpoint`] plus the state
+/// its dispatcher works on.
 pub struct Server {
-    listener: TcpListener,
-    addr: SocketAddr,
+    endpoint: Endpoint,
     state: Arc<ServerState>,
 }
 
-/// Handle to a server running on a background thread.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    state: Arc<ServerState>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The bound address (useful with ephemeral ports).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the accept loop and the scheduler, then joins them.
-    pub fn shutdown(mut self) {
-        request_shutdown(&self.state, self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn request_shutdown(state: &ServerState, addr: SocketAddr) {
-    // ORDERING: SeqCst — shutdown is a once-per-process edge; the accept
-    // loop's SeqCst load must see it in total order with the wake-up
-    // connection below, and the cost is irrelevant off the hot path.
-    if state.shutting_down.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    // Wake the blocking accept() with a throwaway connection.
-    let _ = TcpStream::connect(addr);
-}
+/// Handle to a server running on a background thread. `shutdown` stops the
+/// accept loop and the scheduler, then joins them.
+pub type ServerHandle = crate::endpoint::Handle;
 
 impl Server {
     /// Binds the listening socket.
     pub fn bind(cfg: ServerConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
+        let endpoint =
+            Endpoint::bind(&cfg.addr, "ihtl-serve", cfg.max_line_bytes, cfg.idle_timeout)?;
         // Opening the store is fallible (mkdir) and happens before any
         // connection is accepted — a bad --store-dir fails the boot loudly
         // instead of degrading every job quietly.
@@ -153,130 +126,32 @@ impl Server {
             cache: ResultCache::new(cfg.cache_capacity),
             coalescer: Coalescer::new(),
             stats: ServeStats::default(),
-            shutting_down: AtomicBool::new(false),
             cfg,
             traces: Mutex::new(VecDeque::new()),
             next_trace_id: AtomicU64::new(1),
         });
-        Ok(Server { listener, addr, state })
+        Ok(Server { endpoint, state })
     }
 
-    /// The bound address (resolved once at bind time, so the accept loop
-    /// and the shutdown path never need a fallible OS query).
+    /// The bound address (useful with ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.endpoint.local_addr()
     }
 
-    /// Runs the accept loop on the current thread until shutdown.
+    /// Runs the accept loop on the current thread until shutdown, then
+    /// stops the scheduler.
     pub fn run(self) {
-        let addr = self.addr;
-        for conn in self.listener.incoming() {
-            // ORDERING: SeqCst — pairs with request_shutdown's swap.
-            if self.state.shutting_down.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = conn else { continue };
-            let state = Arc::clone(&self.state);
-            let _ = std::thread::Builder::new()
-                .name("ihtl-serve-conn".to_string())
-                .spawn(move || handle_connection(stream, &state, addr));
-        }
+        let (state, idle) = (Arc::clone(&self.state), Arc::clone(&self.state));
+        self.endpoint
+            .run(move |req| dispatch(&state, req), move || bump(&idle.stats.idle_disconnects, 1));
         self.state.scheduler.shutdown();
     }
 
     /// Runs the accept loop on a background thread.
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
-        let addr = self.local_addr();
-        let state = Arc::clone(&self.state);
-        let accept_thread = std::thread::Builder::new()
-            .name("ihtl-serve-accept".to_string())
-            .spawn(move || self.run())?;
-        Ok(ServerHandle { addr, state, accept_thread: Some(accept_thread) })
+        let Server { endpoint, state } = self;
+        endpoint.spawn(move |endpoint| Server { endpoint, state }.run())
     }
-}
-
-fn handle_connection(stream: TcpStream, state: &Arc<ServerState>, addr: SocketAddr) {
-    // The timeout only governs reads between requests: a job in flight
-    // blocks in `dispatch`, not in `read_line`, so slow jobs are unaffected.
-    if state.cfg.idle_timeout.is_some() {
-        let _ = stream.set_read_timeout(state.cfg.idle_timeout);
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        // take() bounds the line length; a longer line shows up as a "line"
-        // with no terminating newline and non-empty content.
-        let mut limited = (&mut reader).take(state.cfg.max_line_bytes as u64);
-        match limited.read_line(&mut line) {
-            Ok(0) => return, // client closed
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // Idle expiry (both kinds occur across platforms). Closing
-                // frees the connection thread and its file descriptor.
-                // ORDERING: Relaxed — stats counter only.
-                state.stats.idle_disconnects.fetch_add(1, Ordering::Relaxed);
-                let _ = writeln!(writer, "{}", error_reply(None, "idle timeout, closing"));
-                return;
-            }
-            Err(_) => return,
-        }
-        if !line.ends_with('\n') && line.len() >= state.cfg.max_line_bytes {
-            let reply = error_reply(None, "request line too long");
-            let _ = writeln!(writer, "{reply}");
-            return;
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let reply = match Request::parse(trimmed) {
-            Err(msg) => error_reply(None, &msg),
-            Ok(req) => {
-                let is_shutdown = req.op == Op::Shutdown;
-                let reply = dispatch(state, req);
-                if is_shutdown {
-                    let _ = writeln!(writer, "{reply}");
-                    let _ = writer.flush();
-                    let _ = writer.shutdown(NetShutdown::Both);
-                    request_shutdown(state, addr);
-                    return;
-                }
-                reply
-            }
-        };
-        if writeln!(writer, "{reply}").is_err() {
-            return;
-        }
-    }
-}
-
-/// Builds the `{"ok":false,...}` reply.
-fn error_reply(id: Option<Json>, msg: &str) -> Json {
-    let mut pairs = Vec::new();
-    if let Some(id) = id {
-        pairs.push(("id".to_string(), id));
-    }
-    pairs.push(("ok".to_string(), Json::Bool(false)));
-    pairs.push(("error".to_string(), Json::from(msg)));
-    Json::Obj(pairs)
-}
-
-/// Builds the `{"ok":true,...}` reply around a body object.
-fn ok_reply(id: Option<Json>, body: Json) -> Json {
-    let mut pairs = Vec::new();
-    if let Some(id) = id {
-        pairs.push(("id".to_string(), id));
-    }
-    pairs.push(("ok".to_string(), Json::Bool(true)));
-    if let Json::Obj(fields) = body {
-        pairs.extend(fields);
-    }
-    Json::Obj(pairs)
 }
 
 fn dispatch(state: &Arc<ServerState>, req: Request) -> Json {
@@ -352,12 +227,9 @@ fn dispatch(state: &Arc<ServerState>, req: Request) -> Json {
             }
             ok_reply(id, body)
         }
-        Op::Register { name, source } => match handle_register(state, &name, &source) {
-            Ok(body) => ok_reply(id, body),
-            Err(msg) => error_reply(id, &msg),
-        },
+        Op::Register { name, source } => result_reply(id, handle_register(state, &name, &source)),
         Op::Job { dataset, engine, job, timeout_ms, nocache, top_k, include_values, trace } => {
-            match handle_job(
+            let outcome = handle_job(
                 state,
                 &dataset,
                 engine,
@@ -367,13 +239,11 @@ fn dispatch(state: &Arc<ServerState>, req: Request) -> Json {
                 top_k,
                 include_values,
                 trace,
-            ) {
-                Ok(body) => ok_reply(id, body),
-                Err(msg) => error_reply(id, &msg),
-            }
+            );
+            result_reply(id, outcome)
         }
         Op::Trace { trace_id } => {
-            let traces = lock_traces(state);
+            let traces = lock_ok(&state.traces);
             match traces.iter().find(|(tid, _)| *tid == trace_id) {
                 Some((_, tree)) => ok_reply(id, tree.clone()),
                 None => error_reply(
@@ -383,15 +253,9 @@ fn dispatch(state: &Arc<ServerState>, req: Request) -> Json {
             }
         }
         Op::Sweep { dataset, engine, monoid, view, xbits } => {
-            match handle_sweep(state, &dataset, engine, monoid, view, xbits) {
-                Ok(body) => ok_reply(id, body),
-                Err(msg) => error_reply(id, &msg),
-            }
+            result_reply(id, handle_sweep(state, &dataset, engine, monoid, view, xbits))
         }
-        Op::Degrees { dataset, view } => match handle_degrees(state, &dataset, view) {
-            Ok(body) => ok_reply(id, body),
-            Err(msg) => error_reply(id, &msg),
-        },
+        Op::Degrees { dataset, view } => result_reply(id, handle_degrees(state, &dataset, view)),
     }
 }
 
@@ -408,12 +272,6 @@ fn push_shard_fields(pairs: &mut Vec<(String, Json)>, ds: &Dataset) {
     pairs.push(("range_end".to_string(), Json::from(meta.info.range.end)));
     pairs.push(("shard_edges".to_string(), Json::from(meta.info.n_edges)));
     pairs.push(("boundary_sources".to_string(), Json::from(meta.info.boundary_sources)));
-}
-
-/// Locks the trace store, recovering from poisoning (R3: a panicking
-/// executor must not take the trace endpoint down with it).
-fn lock_traces(state: &ServerState) -> std::sync::MutexGuard<'_, VecDeque<(u64, Json)>> {
-    state.traces.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn handle_register(
@@ -449,10 +307,7 @@ fn handle_sweep(
     view: GraphView,
     xbits: Vec<u64>,
 ) -> Result<Json, String> {
-    let ds = state
-        .registry
-        .get(dataset)
-        .ok_or_else(|| format!("unknown dataset '{dataset}' (register it first)"))?;
+    let ds = registered(state, dataset)?;
     let symmetrized = view == GraphView::Sym;
     let engine: EngineKind = match engine {
         EngineChoice::Fixed(kind) => kind,
@@ -465,8 +320,7 @@ fn handle_sweep(
             ds.n_vertices
         ));
     }
-    // ORDERING: Relaxed — stats counter only.
-    state.stats.submitted.fetch_add(1, Ordering::Relaxed);
+    bump(&state.stats.submitted, 1);
     let state_for_exec = Arc::clone(state);
     let ds_for_exec = Arc::clone(&ds);
     let handle = state
@@ -479,7 +333,7 @@ fn handle_sweep(
                 let y = ds_for_exec
                     .with_engine(engine, symmetrized, &state_for_exec.registry, |e| {
                         let xe = e.from_original_order(&x);
-                        let mut ye = vec![monoid_identity(monoid); xe.len()];
+                        let mut ye = vec![monoid.identity(); xe.len()];
                         match monoid {
                             Monoid::Add => e.spmv_add(&xe, &mut ye),
                             Monoid::Min => e.spmv_min(&xe, &mut ye),
@@ -487,24 +341,13 @@ fn handle_sweep(
                         e.to_original_order(&ye)
                     })
                     .map_err(JobError::Failed)?;
-                Ok(Json::obj([(
-                    "ybits",
-                    Json::Arr(y.iter().map(|v| Json::from(v.to_bits())).collect()),
-                )]))
+                Ok(Json::obj([("ybits", bits_to_json(&y))]))
             }),
         )
-        .map_err(|e| match e {
-            SubmitError::Overloaded => {
-                // ORDERING: Relaxed — stats counter only.
-                state.stats.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
-                "overloaded".to_string()
-            }
-            SubmitError::ShuttingDown => "server shutting down".to_string(),
-        })?;
+        .map_err(|e| submit_error(state, e))?;
     match handle.wait() {
         Ok(mut body) => {
-            // ORDERING: Relaxed — stats counter only.
-            state.stats.completed.fetch_add(1, Ordering::Relaxed);
+            bump(&state.stats.completed, 1);
             if let Json::Obj(pairs) = &mut body {
                 pairs.push(("dataset".to_string(), Json::from(ds.name.clone())));
                 pairs.push(("engine".to_string(), Json::from(engine_wire_name(engine))));
@@ -515,20 +358,28 @@ fn handle_sweep(
             Ok(body)
         }
         Err(err) => {
-            // ORDERING: Relaxed — stats counter only.
-            state.stats.failed.fetch_add(1, Ordering::Relaxed);
+            bump(&state.stats.failed, 1);
             Err(err.message())
         }
     }
 }
 
-/// The monoid's identity element — what a sweep leaves in rows with no
-/// in-edges, and what makes cross-shard merges exact (a non-owner's entry
-/// is *exactly* the identity, so the owner's fold is the full fold).
-fn monoid_identity(monoid: Monoid) -> f64 {
-    match monoid {
-        Monoid::Add => 0.0,
-        Monoid::Min => f64::INFINITY,
+fn registered(state: &ServerState, dataset: &str) -> Result<Arc<Dataset>, String> {
+    state
+        .registry
+        .get(dataset)
+        .ok_or_else(|| format!("unknown dataset '{dataset}' (register it first)"))
+}
+
+/// The wire message for a refused submission; overload rejections are
+/// counted.
+fn submit_error(state: &ServerState, e: SubmitError) -> String {
+    match e {
+        SubmitError::Overloaded => {
+            bump(&state.stats.rejected_overloaded, 1);
+            "overloaded".to_string()
+        }
+        SubmitError::ShuttingDown => "server shutting down".to_string(),
     }
 }
 
@@ -541,10 +392,7 @@ fn handle_degrees(
     dataset: &str,
     view: GraphView,
 ) -> Result<Json, String> {
-    let ds = state
-        .registry
-        .get(dataset)
-        .ok_or_else(|| format!("unknown dataset '{dataset}' (register it first)"))?;
+    let ds = registered(state, dataset)?;
     let g = match view {
         GraphView::Raw => ds.graph().ok_or_else(|| {
             format!(
@@ -575,10 +423,7 @@ fn handle_job(
     include_values: bool,
     trace: bool,
 ) -> Result<Json, String> {
-    let ds = state
-        .registry
-        .get(dataset)
-        .ok_or_else(|| format!("unknown dataset '{dataset}' (register it first)"))?;
+    let ds = registered(state, dataset)?;
     // Reject bad job parameters (e.g. an sssp/bfs source beyond the vertex
     // count) at admission — before the submission counter, the latency
     // timer, and the batching path — so the reply is a clear wire error
@@ -586,8 +431,7 @@ fn handle_job(
     if let WireJob::Analytic(spec) = job {
         if let Err(msg) = spec.validate(ds.n_vertices, ds.graph().as_deref()) {
             // A rejected job still counts as a failed one for fleet health.
-            // ORDERING: Relaxed — stats counter only.
-            state.stats.failed.fetch_add(1, Ordering::Relaxed);
+            bump(&state.stats.failed, 1);
             return Err(msg);
         }
     }
@@ -625,8 +469,7 @@ fn handle_job(
         }
     }
 
-    // ORDERING: Relaxed — stats counter only.
-    state.stats.submitted.fetch_add(1, Ordering::Relaxed);
+    bump(&state.stats.submitted, 1);
     // lint:allow(R4): admission timestamp feeds the latency histogram only
     let submitted_at = Instant::now();
     let deadline = timeout_ms.map(|ms| submitted_at + Duration::from_millis(ms));
@@ -634,77 +477,66 @@ fn handle_job(
     // scheduler job, so queued lookalikes share one SpMM edge sweep.
     // Traced jobs stay solo: their span tree must describe exactly one
     // execution, not whatever batch they landed in.
-    if !trace && state.cfg.max_batch > 1 {
-        if let WireJob::Analytic(spec) = job {
-            if let Some(group) = spec.batch_group_key() {
-                return finish_batched_job(
-                    state,
-                    &ds,
-                    dataset,
-                    engine,
-                    spec,
-                    &group,
-                    deadline,
-                    submitted_at,
-                    use_cache,
-                    cache_key,
-                    top_k,
-                    include_values,
-                );
-            }
+    let batch_group = match job {
+        WireJob::Analytic(spec) if !trace && state.cfg.max_batch > 1 => {
+            spec.batch_group_key().map(|group| (spec, group))
         }
-    }
-    // ORDERING: Relaxed — only uniqueness of the trace id matters.
-    let trace_id = trace.then(|| state.next_trace_id.fetch_add(1, Ordering::Relaxed));
-    let job_for_exec = job.clone();
-    let state_for_exec = Arc::clone(state);
-    let ds_for_exec = Arc::clone(&ds);
-    let handle = state
-        .scheduler
-        .submit(
-            deadline,
-            Box::new(move |cancel| {
-                // Tracing turns on for exactly this job's execution window:
-                // the guard + mark are taken on the executor thread, so the
-                // `job` root span and everything `run_job` opens nest under
-                // it, and pool-worker spans land in the collected window.
-                let traced = trace_id.map(|tid| (tid, ihtl_trace::enable(), ihtl_trace::mark()));
-                let root = ihtl_trace::span("job");
-                let result = execute_job(
-                    &state_for_exec,
-                    &ds_for_exec,
-                    engine,
-                    &job_for_exec,
-                    top_k,
-                    include_values,
-                    cancel,
-                )
-                .map_err(JobError::Failed);
-                drop(root);
-                if let Some((tid, guard, mark)) = traced {
-                    let capture = mark.collect();
-                    drop(guard);
-                    store_trace(&state_for_exec, tid, &capture);
-                }
-                result
-            }),
-        )
-        .map_err(|e| match e {
-            SubmitError::Overloaded => {
-                // ORDERING: Relaxed — stats counter only.
-                state.stats.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
-                "overloaded".to_string()
-            }
-            SubmitError::ShuttingDown => "server shutting down".to_string(),
-        })?;
-
-    let result = handle.wait();
+        _ => None,
+    };
+    // Either path yields the reply body plus the one field that describes
+    // this call rather than the result (`batch_k` / `trace_id`), which is
+    // therefore appended — like `cached` — only after the cache put.
+    let outcome = if let Some((spec, group)) = batch_group {
+        let key = format!("{dataset}|{}|{group}", engine_wire_name(engine));
+        wait_batched(state, &ds, engine, spec, key, deadline)?.map(|b| {
+            let body = job_body(&ds, engine, spec, &b.output, top_k, include_values);
+            (body, Some(("batch_k", Json::from(b.batch_k))))
+        })
+    } else {
+        // ORDERING: Relaxed — only uniqueness of the trace id matters.
+        let trace_id = trace.then(|| state.next_trace_id.fetch_add(1, Ordering::Relaxed));
+        let job_for_exec = job.clone();
+        let state_for_exec = Arc::clone(state);
+        let ds_for_exec = Arc::clone(&ds);
+        let handle = state
+            .scheduler
+            .submit(
+                deadline,
+                Box::new(move |cancel| {
+                    // Tracing turns on for exactly this job's execution window:
+                    // the guard + mark are taken on the executor thread, so the
+                    // `job` root span and everything `run_job` opens nest under
+                    // it, and pool-worker spans land in the collected window.
+                    let traced =
+                        trace_id.map(|tid| (tid, ihtl_trace::enable(), ihtl_trace::mark()));
+                    let root = ihtl_trace::span("job");
+                    let result = execute_job(
+                        &state_for_exec,
+                        &ds_for_exec,
+                        engine,
+                        &job_for_exec,
+                        top_k,
+                        include_values,
+                        cancel,
+                    )
+                    .map_err(JobError::Failed);
+                    drop(root);
+                    if let Some((tid, guard, mark)) = traced {
+                        let capture = mark.collect();
+                        drop(guard);
+                        store_trace(&state_for_exec, tid, &capture);
+                    }
+                    result
+                }),
+            )
+            .map_err(|e| submit_error(state, e))?;
+        handle.wait().map(|body| (body, trace_id.map(|tid| ("trace_id", Json::from(tid)))))
+    };
     let latency = submitted_at.elapsed().as_secs_f64();
     state.stats.record_latency(latency);
-    match result {
-        Ok(mut body) => {
-            // ORDERING: Relaxed — stats counter only.
-            state.stats.completed.fetch_add(1, Ordering::Relaxed);
+    match outcome {
+        Ok((mut body, call_field)) => {
+            bump(&state.stats.completed, 1);
             if let Json::Obj(pairs) = &mut body {
                 pairs.push(("latency_seconds".to_string(), Json::Num(latency)));
             }
@@ -713,44 +545,32 @@ fn handle_job(
             }
             if let Json::Obj(pairs) = &mut body {
                 pairs.push(("cached".to_string(), Json::Bool(false)));
-                if let Some(tid) = trace_id {
-                    pairs.push(("trace_id".to_string(), Json::from(tid)));
-                }
+                pairs.extend(call_field.map(|(k, v)| (k.to_string(), v)));
             }
             Ok(body)
         }
         Err(err) => {
-            // ORDERING: Relaxed — stats counters only.
             if err == JobError::DeadlineExceeded {
-                state.stats.deadline_missed.fetch_add(1, Ordering::Relaxed);
+                bump(&state.stats.deadline_missed, 1);
             }
-            // ORDERING: Relaxed — stats counter only.
-            state.stats.failed.fetch_add(1, Ordering::Relaxed);
+            bump(&state.stats.failed, 1);
             Err(err.message())
         }
     }
 }
 
-/// Finishes a coalescible job on the batching path: enlist with the
-/// coalescer, lead (submit the one batch closure) if this request opened
-/// the group, then park on the member slot until the sweep demuxes this
-/// column — or the member's own deadline passes.
-#[allow(clippy::too_many_arguments)]
-fn finish_batched_job(
+/// The batching path of a coalescible job: enlist with the coalescer, lead
+/// (submit the one batch closure) if this request opened the group, then
+/// park on the member slot until the sweep demuxes this column — or the
+/// member's own deadline passes. A refused submission is the outer error.
+fn wait_batched(
     state: &Arc<ServerState>,
     ds: &Arc<Dataset>,
-    dataset: &str,
     engine: EngineKind,
     spec: &JobSpec,
-    group: &str,
+    key: String,
     deadline: Option<Instant>,
-    submitted_at: Instant,
-    use_cache: bool,
-    cache_key: String,
-    top_k: usize,
-    include_values: bool,
-) -> Result<Json, String> {
-    let key = format!("{dataset}|{}|{group}", engine_wire_name(engine));
+) -> Result<Result<BatchedOutput, JobError>, String> {
     let (slot, ticket) = state.coalescer.enlist(key, spec.clone());
     if let Some(ticket) = ticket {
         let state_for_exec = Arc::clone(state);
@@ -769,47 +589,9 @@ fn finish_batched_job(
                     Ok(Json::Null)
                 }),
             )
-            .map_err(|e| match e {
-                SubmitError::Overloaded => {
-                    // ORDERING: Relaxed — stats counter only.
-                    state.stats.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
-                    "overloaded".to_string()
-                }
-                SubmitError::ShuttingDown => "server shutting down".to_string(),
-            })?;
+            .map_err(|e| submit_error(state, e))?;
     }
-    let result = slot.wait(deadline);
-    let latency = submitted_at.elapsed().as_secs_f64();
-    state.stats.record_latency(latency);
-    match result {
-        Ok(b) => {
-            // ORDERING: Relaxed — stats counter only.
-            state.stats.completed.fetch_add(1, Ordering::Relaxed);
-            let mut body = job_body(ds, engine, spec, &b.output, top_k, include_values);
-            if let Json::Obj(pairs) = &mut body {
-                pairs.push(("latency_seconds".to_string(), Json::Num(latency)));
-            }
-            if use_cache {
-                state.cache.put(cache_key, body.clone());
-            }
-            // Appended after the cache put (like `cached`): occupancy is a
-            // property of this call's sweep, not of the cached result.
-            if let Json::Obj(pairs) = &mut body {
-                pairs.push(("cached".to_string(), Json::Bool(false)));
-                pairs.push(("batch_k".to_string(), Json::from(b.batch_k)));
-            }
-            Ok(body)
-        }
-        Err(err) => {
-            // ORDERING: Relaxed — stats counters only.
-            if err == JobError::DeadlineExceeded {
-                state.stats.deadline_missed.fetch_add(1, Ordering::Relaxed);
-            }
-            // ORDERING: Relaxed — stats counter only.
-            state.stats.failed.fetch_add(1, Ordering::Relaxed);
-            Err(err.message())
-        }
-    }
+    Ok(slot.wait(deadline))
 }
 
 /// Executor-side batch driver: claims the group's members, runs them, and
@@ -1018,7 +800,7 @@ fn store_trace(state: &ServerState, trace_id: u64, capture: &ihtl_trace::Capture
         ("window_ns", Json::Arr(vec![Json::from(start), Json::from(end)])),
         ("threads", Json::Arr(threads)),
     ]);
-    let mut traces = lock_traces(state);
+    let mut traces = lock_ok(&state.traces);
     if traces.len() >= TRACE_STORE_CAP {
         traces.pop_front();
     }
@@ -1072,27 +854,7 @@ fn job_body(
         ("compute_seconds".to_string(), Json::Num(out.seconds)),
         ("checksum".to_string(), Json::from(fnv1a_checksum(&out.values))),
     ];
-    if top_k > 0 {
-        let mut idx: Vec<usize> = (0..out.values.len()).collect();
-        idx.sort_by(|&a, &b| {
-            out.values[b]
-                .partial_cmp(&out.values[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let top: Vec<Json> = idx
-            .into_iter()
-            .take(top_k)
-            .map(|i| Json::obj([("vertex", Json::from(i)), ("value", Json::Num(out.values[i]))]))
-            .collect();
-        pairs.push(("top".to_string(), Json::Arr(top)));
-    }
-    if include_values {
-        pairs.push((
-            "values".to_string(),
-            Json::Arr(out.values.iter().map(|&v| Json::Num(v)).collect()),
-        ));
-    }
+    push_result_tail(&mut pairs, &out.values, top_k, include_values);
     Json::Obj(pairs)
 }
 
@@ -1120,13 +882,5 @@ mod tests {
         assert_eq!(a.len(), 16);
         // 0.0 and -0.0 differ in bits, so they must differ in checksum.
         assert_ne!(fnv1a_checksum(&[0.0]), fnv1a_checksum(&[-0.0]));
-    }
-
-    #[test]
-    fn replies_put_id_first_and_ok() {
-        let r = ok_reply(Some(Json::Num(4.0)), Json::obj([("x", Json::from(1u64))]));
-        assert_eq!(r.to_string(), "{\"id\":4,\"ok\":true,\"x\":1}");
-        let e = error_reply(None, "nope");
-        assert_eq!(e.to_string(), "{\"ok\":false,\"error\":\"nope\"}");
     }
 }

@@ -52,6 +52,14 @@ pub struct ServeStats {
     occupancy: [AtomicU64; BATCH_BUCKETS],
 }
 
+/// Adds `by` to a monitoring counter — the one way serve-tier and router
+/// code counts an event.
+pub fn bump(counter: &AtomicU64, by: u64) {
+    // ORDERING: Relaxed — a monotonic counter read only by a stats
+    // endpoint; no data is published through it.
+    counter.fetch_add(by, Ordering::Relaxed);
+}
+
 fn engine_slot(kind: EngineKind) -> usize {
     // `all()` enumerates every variant; the fallback to slot 0 is dead code
     // kept so the stats path stays panic-free (lint rule R3).

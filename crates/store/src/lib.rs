@@ -36,7 +36,7 @@
 //! Writes are atomic and checksum-trailered (`ihtl_graph::io::save_atomic`
 //! — sibling temp + rename, FNV-1a-64 trailer). Loads verify the trailer
 //! and then full structural validation via the hardened `load_ihtl` /
-//! `load_pb` paths. A file that fails either check is **quarantined** —
+//! `load_pb` / `load_graph` paths. A file that fails either check is **quarantined** —
 //! renamed to `<name>.corrupt` — and reported as a miss, so the caller
 //! rebuilds and the store heals by write-back; serving never fails on a
 //! bad image. I/O errors on write-back are returned to the caller but are
@@ -543,6 +543,46 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(store.load_shard_graph(h, 0, 3, false).is_none(), "corrupt shard loaded");
         assert!(!path.exists(), "corrupt shard not quarantined");
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn structurally_bad_shard_image_is_quarantined_and_rebuilt() {
+        // A shard image whose checksum is *right* and whose contents are
+        // not a graph: before `load_graph_bytes` validated what it read,
+        // this panicked inside `Csr::from_parts` instead of quarantining.
+        let store = temp_store("shard_bad");
+        let mut rng = Pcg64::seed_from_u64(0x57_06);
+        let g = random_graph(&mut rng, 40, 160);
+        let h = dataset_content_hash(&g);
+        let range = ihtl_graph::shard::shard_ranges(&g, 2)[0];
+        let shard = ihtl_graph::shard::extract_shard(&g, range);
+        store.save_shard_graph(h, 0, 2, false, &shard).unwrap();
+        let path = store.path_for(shard_key(h, 0, 2, false));
+        let pristine = std::fs::read(&path).unwrap();
+        let payload = &pristine[..pristine.len() - ihtl_graph::io::TRAILER_LEN];
+        // n_vertices = 2^60 (must not size an allocation); a second offset
+        // far past the edge array (non-monotone); a last target naming a
+        // vertex beyond n.
+        let last_target = payload.len() - 4;
+        let edits = [
+            (12, (1u64 << 60).to_le_bytes().to_vec()),
+            (36, (u64::MAX >> 1).to_le_bytes().to_vec()),
+            (last_target, u32::MAX.to_le_bytes().to_vec()),
+        ];
+        for (round, (at, bytes)) in edits.iter().enumerate() {
+            let mut bad = payload.to_vec();
+            bad[*at..*at + bytes.len()].copy_from_slice(bytes);
+            ihtl_graph::io::append_trailer(&mut bad);
+            std::fs::write(&path, &bad).unwrap();
+            assert!(store.load_shard_graph(h, 0, 2, false).is_none(), "round {round}: loaded");
+            assert!(!path.exists(), "round {round}: bad shard not quarantined");
+            assert_eq!(store.counters().quarantined as usize, round + 1);
+            // The caller's rebuild + write-back heals the store.
+            store.save_shard_graph(h, 0, 2, false, &shard).unwrap();
+            let healed = store.load_shard_graph(h, 0, 2, false).expect("heal failed");
+            assert_eq!(healed.csr(), shard.csr());
+        }
         std::fs::remove_dir_all(store.root()).ok();
     }
 

@@ -29,6 +29,7 @@
 use std::io::{self, Write};
 use std::path::Path;
 
+use ihtl_graph::io::Cursor;
 use ihtl_graph::partition::{edge_balanced_ranges, VertexRange};
 use ihtl_graph::{EdgeIndex, Graph, VertexId};
 
@@ -265,7 +266,7 @@ impl PbGraph {
 // ---------------------------------------------------------------------------
 // Binary persistence (`IHTLPBG1`) — the PB layout joins the workspace's
 // binary format family (see `ihtl_graph::io` for the shared doctrine:
-// atomic writes, checksum trailer, legacy passthrough). The loader
+// atomic writes, checksum trailer, one bounds-checked cursor). The loader
 // re-validates every invariant the unsafe traversal kernels rely on, so a
 // corrupted or adversarial image can only ever produce `InvalidData`.
 // ---------------------------------------------------------------------------
@@ -274,78 +275,6 @@ const PB_MAGIC: &[u8; 8] = b"IHTLPBG1";
 
 fn pb_invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Bounds-checked reader (the pb.rs sibling of `ihtl-core`'s loader
-/// cursor): every read validates the remaining length first, and element
-/// counts are rejected before allocation unless their payload fits in the
-/// remaining bytes.
-struct PbReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> PbReader<'a> {
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> io::Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(pb_invalid(format!("truncated {what}")));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u64(&mut self, what: &str) -> io::Result<u64> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8, what)?);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Reads a `u64` element count of `elem_bytes`-sized items, rejecting
-    /// values whose payload cannot fit in the remaining bytes so
-    /// allocations stay bounded by the file size.
-    fn count(&mut self, elem_bytes: usize, what: &str) -> io::Result<usize> {
-        let v = self.u64(what)?;
-        let v = usize::try_from(v).map_err(|_| pb_invalid(format!("{what} too large")))?;
-        if v.checked_mul(elem_bytes).is_none_or(|bytes| bytes > self.remaining()) {
-            return Err(pb_invalid(format!("{what} larger than remaining bytes")));
-        }
-        Ok(v)
-    }
-
-    fn u32s(&mut self, count: usize, what: &str) -> io::Result<Vec<u32>> {
-        if count.checked_mul(4).is_none_or(|bytes| bytes > self.remaining()) {
-            return Err(pb_invalid(format!("{what} larger than remaining bytes")));
-        }
-        let raw = self.take(count * 4, what)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| {
-                let mut b = [0u8; 4];
-                b.copy_from_slice(c);
-                u32::from_le_bytes(b)
-            })
-            .collect())
-    }
-
-    fn u64s(&mut self, count: usize, what: &str) -> io::Result<Vec<u64>> {
-        if count.checked_mul(8).is_none_or(|bytes| bytes > self.remaining()) {
-            return Err(pb_invalid(format!("{what} larger than remaining bytes")));
-        }
-        let raw = self.take(count * 8, what)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(c);
-                u64::from_le_bytes(b)
-            })
-            .collect())
-    }
 }
 
 /// Streams the `IHTLPBG1` payload (no trailer) to `w`.
@@ -397,8 +326,7 @@ pub fn load_pb(path: &Path) -> io::Result<PbGraph> {
 /// (the scratch-reuse optimisation requires every slot to be overwritten
 /// each sweep). Corrupted input yields `InvalidData`, never a panic.
 pub fn load_pb_bytes(data: &[u8]) -> io::Result<PbGraph> {
-    let payload = ihtl_graph::io::verify_trailer(data)?;
-    let mut r = PbReader { data: payload, pos: 0 };
+    let mut r = Cursor::new(ihtl_graph::io::verify_trailer(data)?);
     if r.take(8, "magic")? != PB_MAGIC {
         return Err(pb_invalid("bad magic (not an IHTLPBG1 image)"));
     }
@@ -417,7 +345,7 @@ pub fn load_pb_bytes(data: &[u8]) -> io::Result<PbGraph> {
     if n_segments != n.div_ceil(seg_len).max(1) {
         return Err(pb_invalid("n_segments inconsistent with n and seg_shift"));
     }
-    let n_ranges = r.count(8, "n_ranges")?;
+    let n_ranges = r.len(8, "n_ranges")?;
     if n_ranges == 0 {
         return Err(pb_invalid("no source ranges"));
     }
@@ -610,10 +538,24 @@ mod tests {
         assert_eq!(y, vec![0.0; 3]);
     }
 
-    fn image_of(pb: &PbGraph) -> Vec<u8> {
+    /// The payload `write_pb` streams, before the trailer.
+    fn payload_of(pb: &PbGraph) -> Vec<u8> {
         let mut buf = Vec::new();
         write_pb(pb, &mut buf).unwrap();
         buf
+    }
+
+    /// A payload under its checksum trailer — a loadable image.
+    fn sealed(mut payload: Vec<u8>) -> Vec<u8> {
+        ihtl_graph::io::append_trailer(&mut payload);
+        payload
+    }
+
+    fn assert_invalid(result: io::Result<PbGraph>, label: &str) {
+        match result {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{label}"),
+            Ok(_) => panic!("{label}: accepted"),
+        }
     }
 
     #[test]
@@ -655,10 +597,20 @@ mod tests {
     fn load_rejects_truncation_at_every_prefix() {
         let g = ihtl_graph::graph::paper_example_graph();
         let pb = PbGraph::with_parts(&g, 16, 8, 3);
-        let full = image_of(&pb);
+        let payload = payload_of(&pb);
+        let full = sealed(payload.clone());
         assert!(load_pb_bytes(&full).is_ok());
+        assert_invalid(load_pb_bytes(&payload), "trailer-less image");
         for cut in 0..full.len() {
-            assert!(load_pb_bytes(&full[..cut]).is_err(), "cut at {cut} accepted");
+            assert_invalid(load_pb_bytes(&full[..cut]), &format!("cut at {cut}"));
+        }
+        // Truncated payloads under a trailer of their own: the checksum
+        // passes, so the cursor's bounds checks are what rejects them.
+        for cut in 0..payload.len() {
+            assert_invalid(
+                load_pb_bytes(&sealed(payload[..cut].to_vec())),
+                &format!("sealed cut at {cut}"),
+            );
         }
     }
 
@@ -666,31 +618,37 @@ mod tests {
     fn load_rejects_broken_kernel_invariants() {
         let g = ihtl_graph::graph::paper_example_graph();
         let pb = PbGraph::with_parts(&g, 16, 8, 2);
-        let base = image_of(&pb);
-        assert!(load_pb_bytes(&base).is_ok());
-        // Each mutation breaks one invariant the unsafe kernels rely on;
-        // images are rebuilt by hand (no trailer → structural checks are
-        // the only line of defence, exactly the legacy-image threat model).
+        let base = payload_of(&pb);
+        assert!(load_pb_bytes(&sealed(base.clone())).is_ok());
+        // Each mutation breaks one invariant the unsafe kernels rely on,
+        // under a recomputed trailer: the checksum passes, so the structural
+        // checks are the only line of defence.
         let m = pb.m;
         // edge_pos duplicate: two edges sharing a slot breaks scratch reuse.
         let mut img = base.clone();
         let ep_off = img.len() - m * 4;
         img.copy_within(ep_off..ep_off + 4, ep_off + 4);
-        assert!(load_pb_bytes(&img).is_err(), "duplicate edge_pos accepted");
+        assert_invalid(load_pb_bytes(&sealed(img)), "duplicate edge_pos");
         // Out-of-segment destination.
         let mut img = base.clone();
         let bd_off = img.len() - 2 * m * 4;
         img[bd_off] ^= 0x07;
-        assert!(load_pb_bytes(&img).is_err(), "out-of-segment destination accepted");
+        assert_invalid(load_pb_bytes(&sealed(img)), "out-of-segment destination");
         // Non-monotone src_offsets: corrupt the second offset to be huge.
         let mut img = base.clone();
         let so_off = 48 + pb.ranges.len() * 8 + 8;
         img[so_off + 7] = 0xff;
-        assert!(load_pb_bytes(&img).is_err(), "non-monotone src_offsets accepted");
+        assert_invalid(load_pb_bytes(&sealed(img)), "non-monotone src_offsets");
         // Wrong n_segments for the stored seg_shift.
         let mut img = base.clone();
         img[24] ^= 0x01;
-        assert!(load_pb_bytes(&img).is_err(), "inconsistent n_segments accepted");
+        assert_invalid(load_pb_bytes(&sealed(img)), "inconsistent n_segments");
+        // Counts larger than the bytes that follow must not size anything.
+        for off in [8, 16, 40] {
+            let mut img = base.clone();
+            img[off..off + 8].copy_from_slice(&(1u64 << 31).to_le_bytes());
+            assert_invalid(load_pb_bytes(&sealed(img)), &format!("huge count at {off}"));
+        }
     }
 
     #[test]
