@@ -9,7 +9,6 @@
 
 pub mod datasets;
 pub mod experiments;
-pub mod harness;
 pub mod table;
 
 pub use datasets::{load_suite, Loaded};

@@ -26,8 +26,10 @@
 //! which the replay scores as a win while real hardware pays one full
 //! memory sweep per block. The scoring rule's skew gate exists precisely
 //! to refuse that configuration; the authoritative cross-engine ranking
-//! is the measured `results/BENCH_engines.json` matrix (scripts/verify.sh
-//! gates `auto` within 10% of the best fixed engine there).
+//! is measured by the ledger (`bench/`): `apps.auto_gap_pct` and
+//! `serve.auto_gap_pct` report `auto` against the best fixed engine, and
+//! `traversal.pb_x_pull` / `core.hybrid_x_pull` report the binned engines
+//! against pull. Those numbers are reported, not gated.
 
 use ihtl_cachesim::{replay_ihtl, replay_pb, replay_pull, CacheConfig, ReplayMode, ReplayReport};
 use ihtl_core::{IhtlConfig, IhtlGraph};

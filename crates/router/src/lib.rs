@@ -118,8 +118,9 @@ struct WorkerLink {
     addr: String,
     timeout: Duration,
     conn: Option<LineClient>,
-    /// Incremented on each reconnect-after-failure, drained by the caller
-    /// into the router-wide counter (the link itself has no state access).
+    /// Incremented on each reconnect-after-failure, drained (and reset) by
+    /// the caller into the router-wide counter (the link itself has no
+    /// state access).
     retries: u64,
 }
 
@@ -437,7 +438,7 @@ fn handle_register(
         ]);
         link.call(&wire_line(&req))
     });
-    drain_retries(state, &links);
+    drain_retries(state, &mut links);
     let mut ranges = vec![(0u32, 0u32); count];
     let mut n_vertices = 0usize;
     let mut n_edges = 0usize;
@@ -477,7 +478,7 @@ fn handle_register(
     ]));
     let shard_degrees =
         fan_out(&mut links, |_, link| link.call_vector(&degree_req, "degrees", n_vertices));
-    drain_retries(state, &links);
+    drain_retries(state, &mut links);
     let mut degrees = vec![0u64; n_vertices];
     for shard in shard_degrees {
         for (acc, d) in degrees.iter_mut().zip(shard?) {
@@ -579,7 +580,7 @@ fn handle_job(
     };
     let _span = ihtl_trace::span("router_job").with_arg(eng.links.len() as u64);
     let result = run_job(&mut eng, None, spec);
-    drain_retries(state, &eng.links);
+    drain_retries(state, &mut eng.links);
     bump(&state.stats.sweeps_fanned, eng.sweeps);
     if let Some(msg) = eng.failed {
         bump(&state.stats.jobs_failed, 1);
@@ -606,9 +607,10 @@ fn handle_job(
     Ok(Json::Obj(pairs))
 }
 
-/// Folds each link's retry count into the router-wide counter.
-fn drain_retries(state: &RouterState, links: &[WorkerLink]) {
-    let total: u64 = links.iter().map(|l| l.retries).sum();
+/// Moves each link's retry count into the router-wide counter, resetting
+/// it, so a link drained more than once counts each retry exactly once.
+fn drain_retries(state: &RouterState, links: &mut [WorkerLink]) {
+    let total: u64 = links.iter_mut().map(|l| std::mem::take(&mut l.retries)).sum();
     if total > 0 {
         bump(&state.stats.worker_retries, total);
     }
@@ -640,4 +642,25 @@ fn handle_stats(state: &Arc<RouterState>) -> Json {
         ("worker_retries", load(&stats.worker_retries)),
         ("workers", Json::Arr(health)),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn drain_retries_counts_each_retry_once() {
+        let state = RouterState {
+            cfg: RouterConfig::default(),
+            placements: RwLock::new(Vec::new()),
+            stats: RouterStats::default(),
+        };
+        let mut links = vec![WorkerLink::new("127.0.0.1:1", Duration::from_secs(1))];
+        links[0].retries = 1;
+        // `handle_register` drains the same links after each of its two
+        // fan-outs; the one retry must not be counted again the second time.
+        drain_retries(&state, &mut links);
+        drain_retries(&state, &mut links);
+        assert_eq!(state.stats.worker_retries.load(Ordering::Relaxed), 1);
+    }
 }

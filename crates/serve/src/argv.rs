@@ -1,6 +1,6 @@
 //! A tiny shared command-line parser (std-only).
 //!
-//! Shared by `ihtl-serve`, `ihtl-router`, `ihtl-cli`, and `bench_spmv`: every binary
+//! Shared by `ihtl-serve`, `ihtl-router`, `ihtl-cli`, and `trace_run`: every binary
 //! declares its flags as [`FlagSpec`]s, gets a generated usage message, and
 //! unknown flags exit with code 2 plus that usage text instead of a panic.
 //! The core [`parse`] function is pure (no process exit, no stderr) so it

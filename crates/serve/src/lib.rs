@@ -21,8 +21,8 @@
 //!   cache hit rates, latency histograms, and live per-engine ns/edge;
 //! * [`json`] — a hand-rolled JSON parser/serializer (the workspace builds
 //!   with zero external crates);
-//! * [`argv`] — the tiny flag parser shared by `ihtl-serve`, `ihtl-cli`,
-//!   and `bench_spmv`.
+//! * [`argv`] — the tiny flag parser shared by `ihtl-serve`, `ihtl-router`,
+//!   `ihtl-cli`, and `trace_run`.
 //!
 //! Binaries: `ihtl-serve` (the daemon) and `ihtl-cli` (a one-shot client).
 //! See DESIGN.md for the wire grammar and README.md for a quickstart.

@@ -5,7 +5,8 @@
 //! full SpMV sweeps). This crate is the workspace's durable tier for that
 //! amortisation: a content-addressed on-disk store for *preprocessed*
 //! artifacts — `IhtlGraph` images (`IHTLBLK2`) and `PbGraph` layouts
-//! (`IHTLPBG1`) — shared by the serve registry, the CLI, and the benches.
+//! (`IHTLPBG1`) — shared by the serve registry, the CLI, and the
+//! `store_amortization` experiment.
 //!
 //! ## Addressing
 //!

@@ -480,13 +480,24 @@ impl Mark {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
 
     // Tests in this module share the process-global registry/enable state,
     // so each works only with spans recorded on its own thread after its
-    // own mark.
+    // own mark. Whether tracing is on is global too: every test that calls
+    // `enable()`, and the one that needs it off, holds `TRACER` throughout.
+
+    static TRACER: Mutex<()> = Mutex::new(());
+
+    /// Serialises the tests that depend on the global enable count. A
+    /// failed test poisons the lock; the next one proceeds regardless.
+    fn tracer_lock() -> MutexGuard<'static, ()> {
+        TRACER.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn disabled_records_nothing() {
+        let _serial = tracer_lock();
         let m = mark();
         for _ in 0..64 {
             let _s = span("should_not_appear").with_arg(9);
@@ -498,6 +509,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_carry_args() {
+        let _serial = tracer_lock();
         let _on = enable();
         let m = mark();
         {
@@ -523,6 +535,7 @@ mod tests {
 
     #[test]
     fn sibling_spans_share_a_parent() {
+        let _serial = tracer_lock();
         let _on = enable();
         let m = mark();
         {
@@ -540,6 +553,7 @@ mod tests {
 
     #[test]
     fn remote_threads_are_collected_by_window() {
+        let _serial = tracer_lock();
         let _on = enable();
         let m = mark();
         std::thread::Builder::new()
@@ -561,14 +575,14 @@ mod tests {
 
     #[test]
     fn enable_guards_nest() {
+        let _serial = tracer_lock();
         let g1 = enable();
         let g2 = enable();
         assert!(enabled());
         drop(g1);
         assert!(enabled());
         drop(g2);
-        // Other tests may hold their own guards concurrently, so we cannot
-        // assert disabled here; nesting behaviour is what matters.
+        assert!(!enabled(), "dropping the last guard disables tracing");
     }
 
     #[test]

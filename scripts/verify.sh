@@ -39,9 +39,6 @@ IHTL_SHUFFLE_SEEDS=64 cargo test -q --offline --test shuffle_races
 echo "==> IHTL_THREADS=4 IHTL_SHUFFLE_SEEDS=64 cargo test -q --offline --test shuffle_races (pooled determinism gate)"
 IHTL_THREADS=4 IHTL_SHUFFLE_SEEDS=64 cargo test -q --offline --test shuffle_races
 
-echo "==> cargo bench --no-run --offline (bench targets must compile)"
-cargo bench --no-run --offline --workspace
-
 echo "==> cargo run --offline --release --example quickstart"
 cargo run --offline --release --example quickstart
 
@@ -61,8 +58,4 @@ bash scripts/shard_smoke.sh
 echo "==> bench/run.sh --workload sweep_resident --seed 1 --seconds 3 --trace 0 (ledger smoke)"
 bash bench/run.sh --workload sweep_resident --seed 1 --seconds 3 --trace 0
 
-# Host-relative gates only (auto against the same run's best fixed engine).
-echo "==> scripts/bench.sh --samples 3 (perf trajectory + engine-selection gate)"
-bash scripts/bench.sh --samples 3 --trace-ab --spmm --engines --engines-gate 10
-
-echo "OK: hermetic build, workspace tests (1/default/4 threads), fmt, lint (R1-R7 + baseline), 64-seed shuffle sweep, benches, quickstart, serve smoke, store smoke, shard smoke, ledger smoke, engine gate"
+echo "OK: hermetic build, workspace tests (1/default/4 threads), fmt, lint (R1-R7 + baseline), 64-seed shuffle sweep, quickstart, serve smoke, store smoke, shard smoke, ledger smoke"

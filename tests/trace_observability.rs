@@ -94,8 +94,8 @@ fn tracing_end_to_end() {
     }
     drop(on);
 
-    // 4. Overhead A/B on the live kernel. The real bound (<=5%) is enforced
-    // statistically by `bench_spmv --trace-ab` over many samples; a unit
+    // 4. Overhead A/B on the live kernel. The real cost is measured over
+    // many samples by the ledger's `trace.overhead_pct` (`bench/`); a unit
     // test gets one noisy sample on a loaded CI box, so it only guards
     // against catastrophic regressions (enabled tracing an order of
     // magnitude slower would indicate the hot path took a lock).
