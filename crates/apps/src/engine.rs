@@ -368,11 +368,10 @@ impl<G: Borrow<Graph> + Send> SpmvEngine for PushGraphIt<G> {
 /// buffers are private per engine.
 pub struct Ihtl {
     pub ih: Arc<IhtlGraph>,
-    bufs: ThreadBuffers,
-    /// Per-column-count SpMM buffers, allocated on first use and reused
-    /// across batches of the same width (a serving engine sees the same few
-    /// K values over and over).
-    multi_bufs: Vec<(usize, ThreadBuffers)>,
+    /// Hub buffers per column count, allocated on first use and reused
+    /// across sweeps of the same width (a serving engine sees the same few
+    /// K values over and over); the K = 1 buffers exist from construction.
+    bufs: Vec<(usize, ThreadBuffers)>,
     out_degrees: Vec<u32>,
 }
 
@@ -382,17 +381,6 @@ impl Ihtl {
         &self.ih
     }
 
-    /// Index of the cached `k`-column buffers, allocating on first use.
-    fn multi_buf_index(&mut self, k: usize) -> usize {
-        match self.multi_bufs.iter().position(|(kk, _)| *kk == k) {
-            Some(i) => i,
-            None => {
-                self.multi_bufs.push((k, self.ih.new_buffers_multi(k)));
-                self.multi_bufs.len() - 1
-            }
-        }
-    }
-
     /// Runs one SpMV and returns the phase breakdown (Table 5's right
     /// half needs it; the trait method discards it).
     pub fn spmv_add_with_breakdown(
@@ -400,8 +388,24 @@ impl Ihtl {
         x: &[f64],
         y: &mut [f64],
     ) -> ihtl_core::ExecBreakdown {
-        self.ih.spmv::<Add>(x, y, &mut self.bufs)
+        self.ih.spmm::<Add>(x, y, 1, buffers(&mut self.bufs, &self.ih, 1))
     }
+}
+
+/// The `k`-column buffers in `cache`, allocated for `ih` on first use.
+fn buffers<'a>(
+    cache: &'a mut Vec<(usize, ThreadBuffers)>,
+    ih: &IhtlGraph,
+    k: usize,
+) -> &'a mut ThreadBuffers {
+    let i = match cache.iter().position(|(kk, _)| *kk == k) {
+        Some(i) => i,
+        None => {
+            cache.push((k, ih.new_buffers_multi(k)));
+            cache.len() - 1
+        }
+    };
+    &mut cache[i].1
 }
 
 impl SpmvEngine for Ihtl {
@@ -415,10 +419,10 @@ impl SpmvEngine for Ihtl {
         &self.out_degrees
     }
     fn spmv_add(&mut self, x: &[f64], y: &mut [f64]) {
-        self.ih.spmv::<Add>(x, y, &mut self.bufs);
+        self.spmm_add(x, y, 1);
     }
     fn spmv_min(&mut self, x: &[f64], y: &mut [f64]) {
-        self.ih.spmv::<Min>(x, y, &mut self.bufs);
+        self.spmm_min(x, y, 1);
     }
     fn to_original_order(&self, v: &[f64]) -> Vec<f64> {
         self.ih.to_old_order(v)
@@ -429,18 +433,10 @@ impl SpmvEngine for Ihtl {
     // Native SpMM: the flipped-block push, merge and sparse pull all run
     // k columns wide over one edge sweep (`IhtlGraph::spmm`).
     fn spmm_add(&mut self, x: &[f64], y: &mut [f64], k: usize) {
-        if k == 1 {
-            return self.spmv_add(x, y);
-        }
-        let i = self.multi_buf_index(k);
-        self.ih.spmm::<Add>(x, y, k, &mut self.multi_bufs[i].1);
+        self.ih.spmm::<Add>(x, y, k, buffers(&mut self.bufs, &self.ih, k));
     }
     fn spmm_min(&mut self, x: &[f64], y: &mut [f64], k: usize) {
-        if k == 1 {
-            return self.spmv_min(x, y);
-        }
-        let i = self.multi_buf_index(k);
-        self.ih.spmm::<Min>(x, y, k, &mut self.multi_bufs[i].1);
+        self.ih.spmm::<Min>(x, y, k, buffers(&mut self.bufs, &self.ih, k));
     }
     fn engine_rows(&self) -> Option<&[u32]> {
         Some(self.ih.old_to_new())
@@ -523,15 +519,9 @@ impl SpmvEngine for Hybrid {
     // Native SpMM: the binned push and the sparse pull both run k columns
     // wide over one edge sweep (`IhtlGraph::spmm_hybrid`).
     fn spmm_add(&mut self, x: &[f64], y: &mut [f64], k: usize) {
-        if k == 1 {
-            return self.spmv_add(x, y);
-        }
         self.ih.spmm_hybrid::<Add>(x, y, k, &mut self.plan);
     }
     fn spmm_min(&mut self, x: &[f64], y: &mut [f64], k: usize) {
-        if k == 1 {
-            return self.spmv_min(x, y);
-        }
         self.ih.spmm_hybrid::<Min>(x, y, k, &mut self.plan);
     }
     fn engine_rows(&self) -> Option<&[u32]> {
@@ -566,9 +556,9 @@ pub fn hybrid_engine_from_shared(ih: Arc<IhtlGraph>) -> Hybrid {
 /// `Arc<IhtlGraph>`, paying the paper's Table 2 preprocessing cost once per
 /// dataset rather than once per request.
 pub fn ihtl_engine_from_shared(ih: Arc<IhtlGraph>) -> Ihtl {
-    let bufs = ih.new_buffers();
+    let bufs = vec![(1, ih.new_buffers())];
     let out_degrees = ih.out_degree_new().to_vec();
-    Ihtl { ih, bufs, multi_bufs: Vec::new(), out_degrees }
+    Ihtl { ih, bufs, out_degrees }
 }
 
 #[cfg(test)]

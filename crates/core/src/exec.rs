@@ -251,143 +251,8 @@ impl IhtlGraph {
         y: &mut [f64],
         bufs: &mut ThreadBuffers,
     ) -> ExecBreakdown {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        assert_eq!(bufs.width(), self.n_hubs, "buffers sized for a different graph");
-        assert_eq!(bufs.n_blocks(), self.blocks.len(), "buffers built for a different blocking");
         assert_eq!(bufs.cols(), 1, "multi-column buffers need the spmm entry point");
-        let mut breakdown = ExecBreakdown::default();
-        let _iter_span = ihtl_trace::span("ihtl_spmv");
-
-        // --- Phase 1: buffered push over flipped blocks. ---
-        // No up-front reset: the generation bump invalidates every segment,
-        // and each (worker × block) segment is reset on first touch below.
-        // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
-        let t = Instant::now();
-        let phase_span = ihtl_trace::span("fb_push");
-        bufs.begin_iteration();
-        let gen = bufs.generation;
-        // Precomputed (block, source-chunk) tasks, edge-balanced within each
-        // block so skewed rows don't serialise. Tasks are partitioned into
-        // one contiguous lane per buffer: lane membership is a pure function
-        // of the task index, so the merge's combine grouping — and hence
-        // the bitwise f64 result — does not depend on which worker the
-        // pool's chunk counter handed a lane to. Equal task counts stay
-        // edge-balanced because the tasks themselves are.
-        let lanes = lane_partition(self.push_tasks.len(), bufs.n_buffers());
-        ihtl_parallel::par_for_each(&lanes, 1, |lane, tasks| {
-            let wb = bufs.lane_buffer(lane);
-            for &(b, range) in &self.push_tasks[tasks.clone()] {
-                let _task_span = ihtl_trace::span("push_task").with_arg(b as u64);
-                let blk = &self.blocks[b as usize];
-                let base = blk.hub_start as usize;
-                if wb.block_gen[b as usize] != gen {
-                    // First touch of this block by this lane this iteration:
-                    // reset exactly its segment of the buffer.
-                    wb.block_gen[b as usize] = gen;
-                    for slot in &mut wb.data[base..blk.hub_end as usize] {
-                        *slot = M::identity();
-                    }
-                }
-                // Rows are compacted to feeding sources, so every iteration
-                // does real work — no empty-row scan. Source reads follow the
-                // ascending `srcs` map (hardware-prefetched) and the random
-                // scatter lands in the cache-budget-sized buffer, so no
-                // software prefetch is needed in this phase. Rows are
-                // consecutive, so each row's end offset is carried forward as
-                // the next row's start.
-                let offsets = blk.edges.offsets();
-                let targets = blk.edges.targets();
-                debug_assert!((range.end as usize) <= blk.srcs.len());
-                let mut s = offsets[range.start as usize] as usize;
-                for row in range.iter() {
-                    // SAFETY: push-task ranges lie within the block's
-                    // compacted rows and offsets are monotone ending at
-                    // `targets.len()`; `srcs[row] < n_active <= n ==
-                    // x.len()`; targets are block-local hub indices
-                    // `< n_block_hubs`, so `base + local < hub_end <=
-                    // n_hubs == wb.data.len()`.
-                    unsafe {
-                        let e = *offsets.get_unchecked(row as usize + 1) as usize;
-                        let u = *blk.srcs.get_unchecked(row as usize);
-                        debug_assert!((u as usize) < x.len());
-                        let xu = *x.get_unchecked(u as usize);
-                        for &local in targets.get_unchecked(s..e) {
-                            let slot = base + local as usize;
-                            debug_assert!(slot < wb.data.len());
-                            let p = wb.data.get_unchecked_mut(slot);
-                            *p = M::combine(*p, xu);
-                        }
-                        s = e;
-                    }
-                }
-            }
-        });
-        drop(phase_span);
-        breakdown.fb_seconds = t.elapsed().as_secs_f64();
-
-        // --- Phase 2: merge thread buffers into hub results. ---
-        // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
-        let t = Instant::now();
-        let phase_span = ihtl_trace::span("fb_merge");
-        let n_bufs = bufs.n_buffers();
-        breakdown.dirty_segments = bufs.count_dirty_segments();
-        breakdown.total_segments = n_bufs * self.blocks.len();
-        {
-            let (hub_y, _) = y.split_at_mut(self.n_hubs);
-            let mut slices = split_ranges_iter(hub_y, self.merge_tasks.iter().map(|&(_, r)| r));
-            let bufs = &*bufs;
-            ihtl_parallel::par_for_each_mut(&mut slices, 1, |p, out| {
-                let (b, range) = self.merge_tasks[p];
-                let _task_span = ihtl_trace::span("merge_task").with_arg(b as u64);
-                for slot in out.iter_mut() {
-                    *slot = M::identity();
-                }
-                // Sequential over lanes (ascending, as Algorithm 3 lines
-                // 5–7), skipping segments no lane wrote: a clean segment
-                // contributed exactly the identity under full reset, so
-                // skipping it preserves the result and the combine order.
-                // Lane membership is schedule-independent, so this fold's
-                // grouping — and the bitwise result — is too.
-                for t in 0..n_bufs {
-                    if !bufs.is_dirty(t, b as usize) {
-                        continue;
-                    }
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        // SAFETY: `t < n_bufs`; merge-task ranges lie within
-                        // `0..n_hubs`, and the stamp check above makes this
-                        // segment's data current.
-                        let v = unsafe { bufs.read_unchecked(t, range.start as usize + i) };
-                        *slot = M::combine(*slot, v);
-                    }
-                }
-            });
-        }
-        drop(phase_span);
-        breakdown.merge_seconds = t.elapsed().as_secs_f64();
-
-        // --- Phase 3: pull over the sparse block. ---
-        // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
-        let t = Instant::now();
-        let phase_span = ihtl_trace::span("sparse_pull");
-        {
-            let (_, sparse_y) = y.split_at_mut(self.n_hubs);
-            let mut slices = crate::exec::split_ranges(sparse_y, &self.sparse_tasks);
-            ihtl_parallel::par_for_each_mut(&mut slices, 1, |p, out| {
-                let _task_span = ihtl_trace::span("pull_task").with_arg(p as u64);
-                // Sparse targets are new source IDs `< n == x.len()`,
-                // which is what the shared kernel's unchecked gather needs.
-                ihtl_traversal::pull::pull_rows_into::<M>(
-                    &self.sparse,
-                    x,
-                    self.sparse_tasks[p],
-                    out,
-                );
-            });
-        }
-        drop(phase_span);
-        breakdown.pull_seconds = t.elapsed().as_secs_f64();
-        breakdown
+        self.sweep::<M, 1>(x, y, 1, bufs)
     }
 
     /// One SpMM iteration in iHTL order: [`IhtlGraph::spmv`] generalised to
@@ -412,6 +277,23 @@ impl IhtlGraph {
         k: usize,
         bufs: &mut ThreadBuffers,
     ) -> ExecBreakdown {
+        match k {
+            1 => self.sweep::<M, 1>(x, y, 1, bufs),
+            _ => self.sweep::<M, 0>(x, y, k, bufs),
+        }
+    }
+
+    /// The one flipped-block sweep body behind [`IhtlGraph::spmv`] and
+    /// [`IhtlGraph::spmm`], at width `K` (`k` when `K == 0`, see
+    /// [`ihtl_traversal::width`]).
+    fn sweep<M: Monoid, const K: usize>(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        k: usize,
+        bufs: &mut ThreadBuffers,
+    ) -> ExecBreakdown {
+        let k = ihtl_traversal::width::<K>(k);
         assert!(k >= 1, "spmm needs at least one column");
         assert_eq!(x.len(), self.n * k);
         assert_eq!(y.len(), self.n * k);
@@ -420,53 +302,76 @@ impl IhtlGraph {
         assert_eq!(bufs.cols(), k, "buffers allocated for a different column count");
         assert!(self.n * k <= u32::MAX as usize, "n * k must fit the u32 range arithmetic");
         let mut breakdown = ExecBreakdown::default();
-        let _iter_span = ihtl_trace::span("ihtl_spmm").with_arg(k as u64);
+        let _iter_span = if k == 1 {
+            ihtl_trace::span("ihtl_spmv")
+        } else {
+            ihtl_trace::span("ihtl_spmm").with_arg(k as u64)
+        };
 
-        // --- Phase 1: buffered push over flipped blocks, k columns wide. ---
+        // --- Phase 1: buffered push over flipped blocks. ---
+        // No up-front reset: the generation bump invalidates every segment,
+        // and each (lane × block) segment is reset on first touch below.
         // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
         let t = Instant::now();
         let phase_span = ihtl_trace::span("fb_push");
         bufs.begin_iteration();
         let gen = bufs.generation;
-        // Same deterministic lane partition as the SpMV push: buffers are
-        // keyed by lane, not by claiming worker, so per column the combine
-        // grouping is schedule-independent.
+        // Precomputed (block, source-chunk) tasks, edge-balanced within each
+        // block so skewed rows don't serialise. Tasks are partitioned into
+        // one contiguous lane per buffer: lane membership is a pure function
+        // of the task index, so the merge's combine grouping — and hence
+        // the bitwise f64 result — does not depend on which worker the
+        // pool's chunk counter handed a lane to. Equal task counts stay
+        // edge-balanced because the tasks themselves are.
         let lanes = lane_partition(self.push_tasks.len(), bufs.n_buffers());
         ihtl_parallel::par_for_each(&lanes, 1, |lane, tasks| {
+            // A constant at K = 1, unlike the captured `k` (see `width`).
+            let k = ihtl_traversal::width::<K>(k);
             let wb = bufs.lane_buffer(lane);
             for &(b, range) in &self.push_tasks[tasks.clone()] {
                 let _task_span = ihtl_trace::span("push_task").with_arg(b as u64);
                 let blk = &self.blocks[b as usize];
                 let base = blk.hub_start as usize;
                 if wb.block_gen[b as usize] != gen {
+                    // First touch of this block by this lane this iteration:
+                    // reset exactly its segment of the buffer.
                     wb.block_gen[b as usize] = gen;
                     for slot in &mut wb.data[base * k..blk.hub_end as usize * k] {
                         *slot = M::identity();
                     }
                 }
+                // Rows are compacted to feeding sources, so every iteration
+                // does real work — no empty-row scan. Source reads follow the
+                // ascending `srcs` map (hardware-prefetched) and the random
+                // scatter lands in the cache-budget-sized buffer, so no
+                // software prefetch is needed in this phase. Rows are
+                // consecutive, so each row's end offset is carried forward as
+                // the next row's start.
+                let data = &mut wb.data[..];
                 let offsets = blk.edges.offsets();
                 let targets = blk.edges.targets();
                 debug_assert!((range.end as usize) <= blk.srcs.len());
                 let mut s = offsets[range.start as usize] as usize;
                 for row in range.iter() {
-                    // SAFETY: same structural invariants as the SpMV push;
-                    // the column reads span `u * k .. u * k + k <= n * k ==
-                    // x.len()` and the scatter spans `(base + local) * k ..
-                    // + k`, within the `n_hubs * k` slots (`cols == k`
+                    // SAFETY: push-task ranges lie within the block's
+                    // compacted rows and offsets are monotone ending at
+                    // `targets.len()`; `srcs[row] < n_active <= n`, so the
+                    // strip `u * k .. u * k + k` lies within `x.len() ==
+                    // n * k`; targets are block-local hub indices `<
+                    // n_block_hubs`, so `(base + local) * k + k <= hub_end
+                    // * k <= n_hubs * k == data.len()` (`cols == k`
                     // asserted above).
                     unsafe {
                         let e = *offsets.get_unchecked(row as usize + 1) as usize;
                         let u = *blk.srcs.get_unchecked(row as usize) as usize;
                         debug_assert!(u * k + k <= x.len());
-                        let xs = x.get_unchecked(u * k..u * k + k);
-                        for &local in targets.get_unchecked(s..e) {
-                            let slot = (base + local as usize) * k;
-                            debug_assert!(slot + k <= wb.data.len());
-                            let ps = wb.data.get_unchecked_mut(slot..slot + k);
-                            for (p, &xv) in ps.iter_mut().zip(xs) {
-                                *p = M::combine(*p, xv);
-                            }
-                        }
+                        scatter_row::<M, K>(
+                            data,
+                            x.get_unchecked(u * k..u * k + k),
+                            base,
+                            targets.get_unchecked(s..e),
+                            k,
+                        );
                         s = e;
                     }
                 }
@@ -475,7 +380,7 @@ impl IhtlGraph {
         drop(phase_span);
         breakdown.fb_seconds = t.elapsed().as_secs_f64();
 
-        // --- Phase 2: merge thread buffers, k columns per hub. ---
+        // --- Phase 2: merge lane buffers into hub results, k per hub. ---
         // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
         let t = Instant::now();
         let phase_span = ihtl_trace::span("fb_merge");
@@ -485,7 +390,7 @@ impl IhtlGraph {
         {
             let (hub_y, _) = y.split_at_mut(self.n_hubs * k);
             let mut slices =
-                split_ranges_iter(hub_y, self.merge_tasks.iter().map(|&(_, r)| scale_range(r, k)));
+                split_ranges(hub_y, self.merge_tasks.iter().map(|&(_, r)| scale_range(r, k)));
             let bufs = &*bufs;
             ihtl_parallel::par_for_each_mut(&mut slices, 1, |p, out| {
                 let (b, range) = self.merge_tasks[p];
@@ -493,8 +398,12 @@ impl IhtlGraph {
                 for slot in out.iter_mut() {
                     *slot = M::identity();
                 }
-                // Same lane order (ascending) and clean-segment skipping
-                // as the SpMV merge — per column the combine order matches.
+                // Sequential over lanes (ascending, as Algorithm 3 lines
+                // 5–7), skipping segments no lane wrote: a clean segment
+                // contributed exactly the identity under full reset, so
+                // skipping it preserves the result and the combine order.
+                // Lane membership is schedule-independent, so this fold's
+                // grouping — and the bitwise result — is too.
                 let start = range.start as usize * k;
                 for t in 0..n_bufs {
                     if !bufs.is_dirty(t, b as usize) {
@@ -517,25 +426,59 @@ impl IhtlGraph {
         // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
         let t = Instant::now();
         let phase_span = ihtl_trace::span("sparse_pull");
-        {
-            let (_, sparse_y) = y.split_at_mut(self.n_hubs * k);
-            let scaled: Vec<VertexRange> =
-                self.sparse_tasks.iter().map(|&r| scale_range(r, k)).collect();
-            let mut slices = split_ranges(sparse_y, &scaled);
-            ihtl_parallel::par_for_each_mut(&mut slices, 1, |p, out| {
-                let _task_span = ihtl_trace::span("pull_task").with_arg(p as u64);
-                ihtl_traversal::pull::pull_rows_into_multi::<M>(
-                    &self.sparse,
-                    x,
-                    k,
-                    self.sparse_tasks[p],
-                    out,
-                );
-            });
-        }
+        self.sparse_pull::<M, K>(x, y, k);
         drop(phase_span);
         breakdown.pull_seconds = t.elapsed().as_secs_f64();
         breakdown
+    }
+
+    /// Pull over the sparse block (Algorithm 3 lines 8–10) at width `K`:
+    /// edge-balanced parallel ranges of non-hub destinations, folded by the
+    /// shared pull kernel. Sparse targets are new source IDs `< n`, which is
+    /// what that kernel's unchecked gather needs.
+    fn sparse_pull<M: Monoid, const K: usize>(&self, x: &[f64], y: &mut [f64], k: usize) {
+        let (_, sparse_y) = y.split_at_mut(self.n_hubs * k);
+        let mut slices =
+            split_ranges(sparse_y, self.sparse_tasks.iter().map(|&r| scale_range(r, k)));
+        ihtl_parallel::par_for_each_mut(&mut slices, 1, |p, out| {
+            let _task_span = ihtl_trace::span("pull_task").with_arg(p as u64);
+            ihtl_traversal::pull::pull_rows::<M, K>(&self.sparse, x, k, self.sparse_tasks[p], out);
+        });
+    }
+}
+
+/// Combines the source strip `xs` (`k` values, `K` when `K != 0`) into the
+/// `k`-wide buffer strip of every block-local hub in `hubs`, offset by
+/// `base` — the push phase's per-row scatter.
+///
+/// `data` and `xs` arrive as separate borrows on purpose: inside the sweep
+/// the lane buffer comes out of an `UnsafeCell`, and with the scatter
+/// written inline the optimiser cannot prove it does not alias `x`, so it
+/// reloads the source value on every edge (measured on a 2-vCPU host:
+/// flipped-block push 0.66–0.87 → 1.10–1.38 ns/edge). As function
+/// arguments the two borrows are known disjoint and the source strip stays
+/// in registers.
+///
+/// # Safety
+/// `xs.len() == k` and `(base + h) * k + k <= data.len()` for every `h` in
+/// `hubs`.
+#[inline]
+unsafe fn scatter_row<M: Monoid, const K: usize>(
+    data: &mut [f64],
+    xs: &[f64],
+    base: usize,
+    hubs: &[u32],
+    k: usize,
+) {
+    let k = ihtl_traversal::width::<K>(k);
+    debug_assert_eq!(xs.len(), k);
+    for &local in hubs {
+        let slot = (base + local as usize) * k;
+        debug_assert!(slot + k <= data.len());
+        for j in 0..k {
+            let p = data.get_unchecked_mut(slot + j);
+            *p = M::combine(*p, *xs.get_unchecked(j));
+        }
     }
 }
 
@@ -559,14 +502,17 @@ fn lane_partition(n_tasks: usize, n_lanes: usize) -> Vec<std::ops::Range<usize>>
 /// contributions per push task, then merge task streams block-by-block)
 /// while the sparse pull phase is kept unchanged.
 ///
-/// Unlike the buffered push — whose merge folds per-*worker* buffers in
-/// worker order, making the `Add` combine order depend on the dynamic
-/// task→worker assignment — every edge here writes a slot fixed at plan
-/// time and the merge replays tasks in a fixed order, so the hybrid is
-/// fully schedule-independent: bitwise-reproducible for any monoid, any
-/// inputs and any thread count. Each block's hub span fits the cache
-/// budget, so the merge's random writes stay cache-resident exactly as in
-/// the buffered push.
+/// Both executors are schedule-independent, but they differ in what else
+/// their `Add` combine order depends on. The buffered push folds one
+/// partial per *lane*, and the lane count is the pool width plus one, so
+/// its grouping — and the bitwise result — changes with the pool width
+/// (`bench/README.md` finding 10). Here every edge writes a slot fixed at
+/// plan time and the merge replays each block's tasks in ascending order,
+/// which is ascending compacted-row order however the rows were split into
+/// tasks, so the hybrid does not depend on the pool width: it is
+/// bitwise-reproducible for any monoid, any inputs and any thread count.
+/// Each block's hub span fits the cache budget, so the merge's random
+/// writes stay cache-resident exactly as in the buffered push.
 pub struct HybridPlan {
     /// Prefix sums of per-push-task flipped-block edge counts, task-major:
     /// task `t`'s slots span `task_offsets[t] .. task_offsets[t + 1]`.
@@ -644,128 +590,7 @@ impl IhtlGraph {
         y: &mut [f64],
         plan: &mut HybridPlan,
     ) -> ExecBreakdown {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        assert_eq!(plan.task_offsets.len(), self.push_tasks.len() + 1, "plan from another graph");
-        let mut breakdown = ExecBreakdown::default();
-        let _iter_span = ihtl_trace::span("hybrid_spmv");
-        let n_slots = plan.dst.len();
-        if plan.values.len() != n_slots {
-            plan.values.clear();
-            plan.values.resize(n_slots, 0.0);
-        }
-
-        // --- Phase 1: bin contributions per push task. ---
-        // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
-        let t = Instant::now();
-        {
-            let phase_span = ihtl_trace::span("pb_bin");
-            // Each task owns the distinct slot range `task_offsets[t] ..
-            // task_offsets[t+1]`, so the scattered stores are race-free;
-            // the atomic view only provides the unsynchronised shared
-            // mutability (plain relaxed stores, no CAS).
-            let slots = ihtl_traversal::monoid::as_atomic_slice(&mut plan.values);
-            let task_offsets = &plan.task_offsets;
-            ihtl_parallel::par_for_each(&self.push_tasks, 1, |t, &(b, range)| {
-                let _task_span = ihtl_trace::span("bin_task").with_arg(b as u64);
-                let blk = &self.blocks[b as usize];
-                let offsets = blk.edges.offsets();
-                debug_assert!((range.end as usize) <= blk.srcs.len());
-                let mut p = task_offsets[t] as usize;
-                let mut s = offsets[range.start as usize] as usize;
-                for row in range.iter() {
-                    // SAFETY: push-task ranges lie within the block's
-                    // compacted rows and offsets are monotone ending at
-                    // `targets.len()`; `srcs[row] < n_active <= n ==
-                    // x.len()`; the write cursor `p` stays below
-                    // `task_offsets[t+1] <= slots.len()` because it
-                    // advances exactly once per task edge.
-                    unsafe {
-                        let e = *offsets.get_unchecked(row as usize + 1) as usize;
-                        let u = *blk.srcs.get_unchecked(row as usize);
-                        debug_assert!((u as usize) < x.len());
-                        let bits = x.get_unchecked(u as usize).to_bits();
-                        for _ in s..e {
-                            debug_assert!(p < slots.len());
-                            // ORDERING: Relaxed — each slot is written by
-                            // exactly one worker (disjoint ranges); the
-                            // region join publishes the buffer to readers.
-                            slots
-                                .get_unchecked(p)
-                                .store(bits, std::sync::atomic::Ordering::Relaxed);
-                            p += 1;
-                        }
-                        s = e;
-                    }
-                }
-            });
-            drop(phase_span);
-        }
-        breakdown.fb_seconds = t.elapsed().as_secs_f64();
-
-        // --- Phase 2: merge task streams, block by block. ---
-        // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
-        let t = Instant::now();
-        {
-            let phase_span = ihtl_trace::span("pb_merge");
-            let values = &plan.values[..];
-            let (hub_y, _) = y.split_at_mut(self.n_hubs);
-            let mut slices = split_ranges_iter(
-                hub_y,
-                self.blocks
-                    .iter()
-                    .map(|blk| VertexRange { start: blk.hub_start, end: blk.hub_end }),
-            );
-            ihtl_parallel::par_for_each_mut(&mut slices, 1, |b, out| {
-                let _task_span = ihtl_trace::span("merge_task").with_arg(b as u64);
-                for slot in out.iter_mut() {
-                    *slot = M::identity();
-                }
-                let hub_base = self.blocks[b].hub_start as usize;
-                let (t_lo, t_hi) = plan.block_tasks[b];
-                // Replay tasks in ascending index order: tasks tile a
-                // block's compacted rows ascending, so each hub combines
-                // its contributions in ascending-source order — a fixed,
-                // schedule-independent sequence.
-                for t in t_lo..t_hi {
-                    let lo = plan.task_offsets[t as usize] as usize;
-                    let hi = plan.task_offsets[t as usize + 1] as usize;
-                    // SAFETY: slots of task `t` hold only this block's hubs
-                    // (`dst` built from block-local targets + hub_start), so
-                    // `dst - hub_base < out.len()`; slot indices are
-                    // `< n_slots == values.len()` by construction.
-                    unsafe {
-                        for (p, &d) in plan.dst.get_unchecked(lo..hi).iter().enumerate() {
-                            let slot = out.get_unchecked_mut(d as usize - hub_base);
-                            *slot = M::combine(*slot, *values.get_unchecked(lo + p));
-                        }
-                    }
-                }
-            });
-            drop(phase_span);
-        }
-        breakdown.merge_seconds = t.elapsed().as_secs_f64();
-
-        // --- Phase 3: pull over the sparse block (unchanged). ---
-        // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
-        let t = Instant::now();
-        {
-            let phase_span = ihtl_trace::span("sparse_pull");
-            let (_, sparse_y) = y.split_at_mut(self.n_hubs);
-            let mut slices = split_ranges(sparse_y, &self.sparse_tasks);
-            ihtl_parallel::par_for_each_mut(&mut slices, 1, |p, out| {
-                let _task_span = ihtl_trace::span("pull_task").with_arg(p as u64);
-                ihtl_traversal::pull::pull_rows_into::<M>(
-                    &self.sparse,
-                    x,
-                    self.sparse_tasks[p],
-                    out,
-                );
-            });
-            drop(phase_span);
-        }
-        breakdown.pull_seconds = t.elapsed().as_secs_f64();
-        breakdown
+        self.hybrid_sweep::<M, 1>(x, y, 1, plan)
     }
 
     /// `k`-column hybrid SpMM (interleaved layout, as [`IhtlGraph::spmm`]).
@@ -779,13 +604,33 @@ impl IhtlGraph {
         k: usize,
         plan: &mut HybridPlan,
     ) -> ExecBreakdown {
+        match k {
+            1 => self.hybrid_sweep::<M, 1>(x, y, 1, plan),
+            _ => self.hybrid_sweep::<M, 0>(x, y, k, plan),
+        }
+    }
+
+    /// The one hybrid sweep body behind [`IhtlGraph::spmv_hybrid`] and
+    /// [`IhtlGraph::spmm_hybrid`], at width `K` (`k` when `K == 0`).
+    fn hybrid_sweep<M: Monoid, const K: usize>(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        k: usize,
+        plan: &mut HybridPlan,
+    ) -> ExecBreakdown {
+        let k = ihtl_traversal::width::<K>(k);
         assert!(k >= 1, "spmm needs at least one column");
         assert_eq!(x.len(), self.n * k);
         assert_eq!(y.len(), self.n * k);
         assert_eq!(plan.task_offsets.len(), self.push_tasks.len() + 1, "plan from another graph");
         assert!(self.n * k <= u32::MAX as usize, "n * k must fit the u32 range arithmetic");
         let mut breakdown = ExecBreakdown::default();
-        let _iter_span = ihtl_trace::span("hybrid_spmv").with_arg(k as u64);
+        let _iter_span = if k == 1 {
+            ihtl_trace::span("hybrid_spmv")
+        } else {
+            ihtl_trace::span("hybrid_spmv").with_arg(k as u64)
+        };
         let n_slots = plan.dst.len();
         // The bin phase overwrites every slot, so reuse needs no reset —
         // resizing only when `k` changes avoids an O(m·k) memset per call.
@@ -806,36 +651,32 @@ impl IhtlGraph {
             let slots = ihtl_traversal::monoid::as_atomic_slice(&mut plan.values);
             let task_offsets = &plan.task_offsets;
             ihtl_parallel::par_for_each(&self.push_tasks, 1, |t, &(b, range)| {
+                let k = ihtl_traversal::width::<K>(k);
                 let _task_span = ihtl_trace::span("bin_task").with_arg(b as u64);
                 let blk = &self.blocks[b as usize];
                 let offsets = blk.edges.offsets();
                 debug_assert!((range.end as usize) <= blk.srcs.len());
-                let mut p = task_offsets[t] as usize * k;
+                let mut p = task_offsets[t] as usize;
                 let mut s = offsets[range.start as usize] as usize;
                 for row in range.iter() {
                     // SAFETY: push-task ranges lie within the block's
                     // compacted rows and offsets are monotone ending at
                     // `targets.len()`; `srcs[row] < n_active <= n`, so the
-                    // column reads span `u*k..u*k+k <= x.len()` (asserted
-                    // above); the write cursor `p` stays below
-                    // `task_offsets[t+1] * k <= slots.len()` because it
-                    // advances exactly once per task edge.
+                    // strip `u*k..u*k+k` lies within `x.len()` (asserted
+                    // above); the slot cursor `p` advances once per task
+                    // edge, so `(p + e - s) * k <= task_offsets[t+1] * k
+                    // <= slots.len()`.
                     unsafe {
                         let e = *offsets.get_unchecked(row as usize + 1) as usize;
                         let u = *blk.srcs.get_unchecked(row as usize) as usize;
                         debug_assert!(u * k + k <= x.len());
-                        let xs = x.get_unchecked(u * k..u * k + k);
-                        for _ in s..e {
-                            debug_assert!(p + k <= slots.len());
-                            for (j, &xv) in xs.iter().enumerate() {
-                                // ORDERING: Relaxed — disjoint slots; the
-                                // region join publishes, as above.
-                                slots
-                                    .get_unchecked(p + j)
-                                    .store(xv.to_bits(), std::sync::atomic::Ordering::Relaxed);
-                            }
-                            p += k;
-                        }
+                        ihtl_traversal::pb::bin_row::<K>(
+                            slots,
+                            x.get_unchecked(u * k..u * k + k),
+                            p..p + (e - s),
+                            k,
+                        );
+                        p += e - s;
                         s = e;
                     }
                 }
@@ -851,13 +692,14 @@ impl IhtlGraph {
             let phase_span = ihtl_trace::span("pb_merge");
             let values = &plan.values[..];
             let (hub_y, _) = y.split_at_mut(self.n_hubs * k);
-            let mut slices = split_ranges_iter(
+            let mut slices = split_ranges(
                 hub_y,
                 self.blocks.iter().map(|blk| {
                     scale_range(VertexRange { start: blk.hub_start, end: blk.hub_end }, k)
                 }),
             );
             ihtl_parallel::par_for_each_mut(&mut slices, 1, |b, out| {
+                let k = ihtl_traversal::width::<K>(k);
                 let _task_span = ihtl_trace::span("merge_task").with_arg(b as u64);
                 for slot in out.iter_mut() {
                     *slot = M::identity();
@@ -895,24 +737,9 @@ impl IhtlGraph {
         // --- Phase 3: pull over the sparse block (unchanged). ---
         // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
         let t = Instant::now();
-        {
-            let phase_span = ihtl_trace::span("sparse_pull");
-            let (_, sparse_y) = y.split_at_mut(self.n_hubs * k);
-            let scaled: Vec<VertexRange> =
-                self.sparse_tasks.iter().map(|&r| scale_range(r, k)).collect();
-            let mut slices = split_ranges(sparse_y, &scaled);
-            ihtl_parallel::par_for_each_mut(&mut slices, 1, |p, out| {
-                let _task_span = ihtl_trace::span("pull_task").with_arg(p as u64);
-                ihtl_traversal::pull::pull_rows_into_multi::<M>(
-                    &self.sparse,
-                    x,
-                    k,
-                    self.sparse_tasks[p],
-                    out,
-                );
-            });
-            drop(phase_span);
-        }
+        let phase_span = ihtl_trace::span("sparse_pull");
+        self.sparse_pull::<M, K>(x, y, k);
+        drop(phase_span);
         breakdown.pull_seconds = t.elapsed().as_secs_f64();
         breakdown
     }
@@ -965,31 +792,15 @@ impl IhtlGraph {
         // --- Phase 2: pull over the sparse block (unchanged). ---
         // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
         let t = Instant::now();
-        {
-            let (_, sparse_y) = y.split_at_mut(self.n_hubs);
-            let mut slices = split_ranges(sparse_y, &self.sparse_tasks);
-            ihtl_parallel::par_for_each_mut(&mut slices, 1, |p, out| {
-                ihtl_traversal::pull::pull_rows_into::<M>(
-                    &self.sparse,
-                    x,
-                    self.sparse_tasks[p],
-                    out,
-                );
-            });
-        }
+        self.sparse_pull::<M, 1>(x, y, 1);
         breakdown.pull_seconds = t.elapsed().as_secs_f64();
         breakdown
     }
 }
 
-/// Splits `data` into disjoint mutable sub-slices per contiguous range.
-pub(crate) fn split_ranges<'a>(data: &'a mut [f64], ranges: &[VertexRange]) -> Vec<&'a mut [f64]> {
-    split_ranges_iter(data, ranges.iter().copied())
-}
-
-/// [`split_ranges`] over any contiguous range sequence (e.g. the range
-/// component of the merge-task list).
-pub(crate) fn split_ranges_iter(
+/// Splits `data` into disjoint mutable sub-slices per contiguous range
+/// (ranges ascending from 0, as the task lists are built).
+pub(crate) fn split_ranges(
     mut data: &mut [f64],
     ranges: impl Iterator<Item = VertexRange>,
 ) -> Vec<&mut [f64]> {
@@ -1214,7 +1025,7 @@ mod tests {
     fn spmm_columns_match_solo_spmv_bitwise() {
         let g = paper_example_graph();
         let cfg = IhtlConfig { cache_budget_bytes: 16, ..IhtlConfig::default() };
-        for k in [1usize, 2, 4, 8] {
+        for k in [1usize, 2, 3, 4, 8] {
             check_spmm_matches_solo_bitwise::<Add>(&g, &cfg, k);
             check_spmm_matches_solo_bitwise::<Min>(&g, &cfg, k);
         }
@@ -1293,7 +1104,7 @@ mod tests {
         let cfg = IhtlConfig { cache_budget_bytes: 16, ..IhtlConfig::default() };
         let ih = IhtlGraph::build(&g, &cfg);
         let n = g.n_vertices();
-        for k in [1usize, 2, 4, 8] {
+        for k in [1usize, 2, 3, 4, 8] {
             // Arbitrary (non-integer) values: the hybrid is schedule
             // independent, so bitwise identity must hold for any inputs.
             let cols: Vec<Vec<f64>> = (0..k)

@@ -25,6 +25,28 @@ pub mod push;
 
 pub use monoid::{Add, Max, Min, Monoid};
 
+/// The column count a sweep body generic over `const K: usize` runs at:
+/// the compile-time width `K`, or the runtime `k` when `K == 0`.
+///
+/// Every K-column kernel is one body instantiated twice: `K = 1` for the
+/// solo SpMV, where the constant folds the column loops away, and `K = 0`
+/// for any other batch width. Callers dispatch once per sweep with
+/// `match k { 1 => body::<M, 1>(..), _ => body::<M, 0>(..) }`.
+///
+/// A parallel task closure re-derives `k = width::<K>(k)` at its top when
+/// it loops over columns: the pool calls it through dynamic dispatch, so a
+/// captured `k` is a load there and every `0..k` loop stays a runtime loop,
+/// while `K` is a constant in every instance.
+#[inline(always)]
+pub fn width<const K: usize>(k: usize) -> usize {
+    if K == 0 {
+        k
+    } else {
+        debug_assert_eq!(k, K, "compile-time width disagrees with the runtime k");
+        K
+    }
+}
+
 /// Splits a mutable slice into the disjoint sub-slices described by
 /// contiguous vertex ranges, so the parallel runtime can hand each range to
 /// a worker without aliasing.

@@ -26,8 +26,9 @@ pub trait Monoid: Copy + Send + Sync + 'static {
     fn combine(a: f64, b: f64) -> f64;
 
     /// Folds `x[u]` over every `u` in `ns` into `acc`, in list order — the
-    /// inner loop of every pull-shaped kernel, hoisted into the trait so
-    /// [`Add`] can override it with an unrolled multi-accumulator version.
+    /// inner loop of the serial reference and segmented pulls, hoisted into
+    /// the trait so [`Add`] can override it with an unrolled
+    /// multi-accumulator version.
     ///
     /// # Safety
     /// Every id in `ns` must be `< x.len()`. Kernels obtain this from the

@@ -28,6 +28,7 @@
 
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ihtl_graph::io::Cursor;
 use ihtl_graph::partition::{edge_balanced_ranges, VertexRange};
@@ -179,6 +180,22 @@ impl PbGraph {
     /// [`PbGraph::spmv`] over column `j`: every edge's slot is fixed, and
     /// the merge replays each column in the same order.
     pub fn spmm<M: Monoid>(&self, x: &[f64], y: &mut [f64], k: usize, values: &mut Vec<f64>) {
+        match k {
+            1 => self.sweep::<M, 1>(x, y, 1, values),
+            _ => self.sweep::<M, 0>(x, y, k, values),
+        }
+    }
+
+    /// The one PB sweep body behind [`PbGraph::spmv`] and [`PbGraph::spmm`],
+    /// at width `K` (`k` when `K == 0`, see [`crate::width`]).
+    fn sweep<M: Monoid, const K: usize>(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        k: usize,
+        values: &mut Vec<f64>,
+    ) {
+        let k = crate::width::<K>(k);
         assert!(k >= 1);
         assert_eq!(x.len(), self.n * k);
         assert_eq!(y.len(), self.n * k);
@@ -201,26 +218,24 @@ impl PbGraph {
             let offsets = &self.src_offsets;
             let edge_pos = &self.edge_pos;
             ihtl_parallel::par_for_each(&self.ranges, 1, |_, range| {
+                // A constant at K = 1, unlike the captured `k` (see `width`).
+                let k = crate::width::<K>(k);
                 let _t = ihtl_trace::span("bin_task");
                 let mut s = offsets[range.start as usize] as usize;
                 for u in range.iter() {
                     // SAFETY: `u + 1 <= range.end <= n` and offsets are
                     // monotone ending at `m`; `x` spans `n * k` (asserted
-                    // above); `edge_pos[e] < m` by construction, so the
-                    // slot index is `< m * k == slots.len()`.
+                    // above); `edge_pos[e] < m` by construction, so every
+                    // slot strip ends at or below `m * k == slots.len()`.
                     unsafe {
                         let e = *offsets.get_unchecked(u as usize + 1) as usize;
-                        let xr = x.get_unchecked(u as usize * k..u as usize * k + k);
-                        for &p in edge_pos.get_unchecked(s..e) {
-                            let base = p as usize * k;
-                            for (j, &xv) in xr.iter().enumerate() {
-                                // ORDERING: Relaxed — disjoint slots per
-                                // worker; the region join publishes.
-                                slots
-                                    .get_unchecked(base + j)
-                                    .store(xv.to_bits(), std::sync::atomic::Ordering::Relaxed);
-                            }
-                        }
+                        let u = u as usize;
+                        bin_row::<K>(
+                            slots,
+                            x.get_unchecked(u * k..u * k + k),
+                            edge_pos.get_unchecked(s..e).iter().map(|&p| p as usize),
+                            k,
+                        );
                         s = e;
                     }
                 }
@@ -237,6 +252,7 @@ impl PbGraph {
         let mut out_slices = split_by_ranges(y, &scaled);
         let values = &values[..];
         ihtl_parallel::par_for_each_mut(&mut out_slices, 1, |si, out| {
+            let k = crate::width::<K>(k);
             let _t = ihtl_trace::span("merge_task");
             for slot in out.iter_mut() {
                 *slot = M::identity();
@@ -260,6 +276,37 @@ impl PbGraph {
                 }
             }
         });
+    }
+}
+
+/// Stores the source strip `xs` (`k` values, `K` when `K != 0`) into the
+/// `k`-wide slot strip of every bin slot in `slots_at` — the bin phase of
+/// both binned sweeps ([`PbGraph::spmm`] and iHTL's hybrid executor).
+///
+/// `xs` arrives as its own borrow on purpose: the atomic stores go through
+/// shared cells the optimiser cannot tell apart from `x`, so with the loop
+/// written inline it reloads the source value on every edge. As a function
+/// argument `xs` is known not to change, and stays in registers.
+///
+/// # Safety
+/// `xs.len() == k`, `p * k + k <= slots.len()` for every `p` in `slots_at`,
+/// and no other thread stores to those strips during the call.
+#[inline]
+pub unsafe fn bin_row<const K: usize>(
+    slots: &[AtomicU64],
+    xs: &[f64],
+    slots_at: impl Iterator<Item = usize>,
+    k: usize,
+) {
+    let k = crate::width::<K>(k);
+    debug_assert_eq!(xs.len(), k);
+    for p in slots_at {
+        debug_assert!(p * k + k <= slots.len());
+        for (slot, &v) in slots.get_unchecked(p * k..p * k + k).iter().zip(xs) {
+            // ORDERING: Relaxed — each slot has one writer (disjoint
+            // strips); the parallel region's join publishes the buffer.
+            slot.store(v.to_bits(), Ordering::Relaxed);
+        }
     }
 }
 

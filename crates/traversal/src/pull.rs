@@ -30,13 +30,49 @@ pub fn spmv_pull<M: Monoid>(g: &Graph, x: &[f64], y: &mut [f64]) {
 
 /// [`spmv_pull`] with an explicit partition count.
 pub fn spmv_pull_with_parts<M: Monoid>(g: &Graph, x: &[f64], y: &mut [f64], parts: usize) {
-    assert_eq!(x.len(), g.n_vertices());
-    assert_eq!(y.len(), g.n_vertices());
-    let _span = ihtl_trace::span("pull_spmv");
+    pull_graph::<M, 1>(g, x, y, 1, parts);
+}
+
+/// GraphGrind-style pull SpMM: [`spmv_pull`] generalised to `k` interleaved
+/// columns per vertex. Uses the same edge-balanced destination ranges as the
+/// single-column kernel, and every per-destination fold is schedule
+/// independent, so column `j` is bitwise identical to a solo [`spmv_pull`]
+/// run on column `j` for any monoid and any thread count.
+pub fn spmv_pull_multi<M: Monoid>(g: &Graph, x: &[f64], y: &mut [f64], k: usize) {
+    match k {
+        1 => pull_graph::<M, 1>(g, x, y, 1, default_parts()),
+        _ => pull_graph::<M, 0>(g, x, y, k, default_parts()),
+    }
+}
+
+/// The one whole-graph pull: `parts` edge-balanced destination ranges, each
+/// folded by [`pull_rows`] at width `K` (`k` when `K == 0`).
+fn pull_graph<M: Monoid, const K: usize>(
+    g: &Graph,
+    x: &[f64],
+    y: &mut [f64],
+    k: usize,
+    parts: usize,
+) {
+    let k = crate::width::<K>(k);
+    let n = g.n_vertices();
+    assert!(k >= 1);
+    assert_eq!(x.len(), n * k);
+    assert_eq!(y.len(), n * k);
+    assert!(n * k <= u32::MAX as usize, "n * k must fit the u32 range arithmetic");
+    let _span = if k == 1 {
+        ihtl_trace::span("pull_spmv")
+    } else {
+        ihtl_trace::span("pull_spmm").with_arg(k as u64)
+    };
     let ranges = edge_balanced_ranges(g.csc(), parts);
-    let mut slices = split_by_ranges(y, &ranges);
+    let scaled: Vec<VertexRange> = ranges
+        .iter()
+        .map(|r| VertexRange { start: r.start * k as u32, end: r.end * k as u32 })
+        .collect();
+    let mut slices = split_by_ranges(y, &scaled);
     ihtl_parallel::par_for_each_mut(&mut slices, 1, |i, out| {
-        pull_range::<M>(g.csc(), x, ranges[i], out);
+        pull_rows::<M, K>(g.csc(), x, k, ranges[i], out);
     });
 }
 
@@ -52,75 +88,59 @@ pub fn spmv_pull_chunked<M: Monoid>(g: &Graph, x: &[f64], y: &mut [f64], chunk: 
     ihtl_parallel::par_chunks_mut(y, chunk, |i, out| {
         let start = (i * chunk) as VertexId;
         let range = VertexRange { start, end: start + out.len() as VertexId };
-        pull_range::<M>(csc, x, range, out);
+        pull_rows_into::<M>(csc, x, range, out);
     });
 }
 
-fn pull_range<M: Monoid>(csc: &Csr, x: &[f64], range: VertexRange, out: &mut [f64]) {
-    pull_rows_into::<M>(csc, x, range, out);
+/// Folds rows `[range.start, range.end)` of `csc` over `x` into `out`
+/// (`out[i]` receives row `range.start + i`): [`pull_rows`] at one column.
+pub fn pull_rows_into<M: Monoid>(csc: &Csr, x: &[f64], range: VertexRange, out: &mut [f64]) {
+    pull_rows::<M, 1>(csc, x, 1, range, out);
 }
 
-/// Folds rows `[range.start, range.end)` of `csc` over `x` into `out`
-/// (`out[i]` receives row `range.start + i`) — the shared inner kernel of
-/// every pull-shaped phase, including iHTL's sparse block. Bounds are
-/// checked once per range here; the per-edge loop runs unchecked on the
-/// structural invariants `Csr::from_parts` validates (monotone offsets
-/// ending at `targets.len()`, targets `< n_cols`).
+/// Folds rows `[range.start, range.end)` of `csc` over `x` into `out` at
+/// width `K` (`k` when `K == 0`, see [`crate::width`]) — the one row-fold
+/// body of every pull-shaped phase, including iHTL's sparse block. `x` and
+/// `out` hold `k` interleaved columns per vertex (row-major `[vertex][k]`,
+/// so one vertex's columns share a cache line), and `out[i * k + j]`
+/// receives row `range.start + i`, column `j`.
 ///
+/// Per column the fold visits the same neighbours in the same list order
+/// at every width, so column `j` of a `k`-wide result is bitwise identical
+/// to a one-column fold over column `j` — the gather of a neighbour's cache
+/// line is simply amortised over `k` queries.
+///
+/// Bounds are checked once per range here; the per-edge loop runs
+/// unchecked on the structural invariants `Csr::from_parts` validates
+/// (monotone offsets ending at `targets.len()`, targets `< n_cols`).
 /// Deliberately a plain in-order loop: software prefetch and unrolled
 /// multi-accumulator variants were tried and measured slower — the graphs
 /// are LLC-resident, so hint instructions just contend with the gather
 /// loads on the load ports, and short adjacency lists pay more remainder
 /// overhead than latency they hide.
-pub fn pull_rows_into<M: Monoid>(csc: &Csr, x: &[f64], range: VertexRange, out: &mut [f64]) {
-    assert!(range.end as usize <= csc.n_rows());
-    assert!(csc.n_cols() <= x.len());
-    assert_eq!(out.len(), (range.end - range.start) as usize);
-    let offsets = csc.offsets();
-    let targets = csc.targets();
-    // Rows are consecutive, so each row's end offset is the next row's
-    // start — carry it forward instead of re-loading both bounds per row.
-    let mut s = offsets[range.start as usize] as usize;
-    for (v, slot) in range.iter().zip(out.iter_mut()) {
-        // SAFETY: `v + 1 <= range.end <= n_rows` and offsets are monotone
-        // ending at `targets.len()`; targets are `< n_cols <= x.len()`
-        // (asserted above), covering `fold_neighbours`.
-        unsafe {
-            let e = *offsets.get_unchecked(v as usize + 1) as usize;
-            *slot = M::fold_neighbours(M::identity(), targets.get_unchecked(s..e), x);
-            s = e;
-        }
-    }
-}
-
-/// Multi-column (SpMM) variant of [`pull_rows_into`]: `x` and `out` hold
-/// `k` interleaved columns per vertex (row-major `[vertex][k]`, so one
-/// vertex's columns share a cache line), and `out[i * k + j]` receives row
-/// `range.start + i`, column `j`.
-///
-/// Per column the fold visits the same neighbours in the same list order as
-/// the single-column kernel, so column `j` of the result is bitwise
-/// identical to a solo [`pull_rows_into`] over column `j` — the gather of a
-/// neighbour's cache line is simply amortised over `k` queries.
-pub fn pull_rows_into_multi<M: Monoid>(
+pub fn pull_rows<M: Monoid, const K: usize>(
     csc: &Csr,
     x: &[f64],
     k: usize,
     range: VertexRange,
     out: &mut [f64],
 ) {
+    let k = crate::width::<K>(k);
     assert!(k >= 1);
     assert!(range.end as usize <= csc.n_rows());
     assert!(csc.n_cols() * k <= x.len());
     assert_eq!(out.len(), (range.end - range.start) as usize * k);
     let offsets = csc.offsets();
     let targets = csc.targets();
+    // Rows are consecutive, so each row's end offset is the next row's
+    // start — carry it forward instead of re-loading both bounds per row.
     let mut s = offsets[range.start as usize] as usize;
     for (v, slots) in range.iter().zip(out.chunks_exact_mut(k)) {
         for slot in slots.iter_mut() {
             *slot = M::identity();
         }
-        // SAFETY: same structural invariants as `pull_rows_into`; the column
+        // SAFETY: `v + 1 <= range.end <= n_rows` and offsets are monotone
+        // ending at `targets.len()`; targets are `< n_cols`, so the column
         // reads index `u * k + j < n_cols * k <= x.len()` (asserted above).
         unsafe {
             let e = *offsets.get_unchecked(v as usize + 1) as usize;
@@ -133,40 +153,6 @@ pub fn pull_rows_into_multi<M: Monoid>(
             s = e;
         }
     }
-}
-
-/// GraphGrind-style pull SpMM: [`spmv_pull`] generalised to `k` interleaved
-/// columns per vertex. Uses the same edge-balanced destination ranges as the
-/// single-column kernel, and every per-destination fold is schedule
-/// independent, so column `j` is bitwise identical to a solo [`spmv_pull`]
-/// run on column `j` for any monoid and any thread count.
-pub fn spmv_pull_multi<M: Monoid>(g: &Graph, x: &[f64], y: &mut [f64], k: usize) {
-    spmv_pull_multi_with_parts::<M>(g, x, y, k, default_parts());
-}
-
-/// [`spmv_pull_multi`] with an explicit partition count.
-pub fn spmv_pull_multi_with_parts<M: Monoid>(
-    g: &Graph,
-    x: &[f64],
-    y: &mut [f64],
-    k: usize,
-    parts: usize,
-) {
-    let n = g.n_vertices();
-    assert!(k >= 1);
-    assert_eq!(x.len(), n * k);
-    assert_eq!(y.len(), n * k);
-    assert!(n * k <= u32::MAX as usize, "n * k must fit the u32 range arithmetic");
-    let _span = ihtl_trace::span("pull_spmm").with_arg(k as u64);
-    let ranges = edge_balanced_ranges(g.csc(), parts);
-    let scaled: Vec<VertexRange> = ranges
-        .iter()
-        .map(|r| VertexRange { start: r.start * k as u32, end: r.end * k as u32 })
-        .collect();
-    let mut slices = split_by_ranges(y, &scaled);
-    ihtl_parallel::par_for_each_mut(&mut slices, 1, |i, out| {
-        pull_rows_into_multi::<M>(g.csc(), x, k, ranges[i], out);
-    });
 }
 
 /// Cagra/GraphIt-style *horizontally blocked* CSC: sources are split into

@@ -58,4 +58,9 @@ bash scripts/shard_smoke.sh
 echo "==> bench/run.sh --workload sweep_resident --seed 1 --seconds 3 --trace 0 (ledger smoke)"
 bash bench/run.sh --workload sweep_resident --seed 1 --seconds 3 --trace 0
 
-echo "OK: hermetic build, workspace tests (1/default/4 threads), fmt, lint (R1-R7 + baseline), 64-seed shuffle sweep, quickstart, serve smoke, store smoke, shard smoke, ledger smoke"
+# sweep_resident's `auto` picks pull; sweep_thrash runs the iHTL engine, so
+# this run puts the flipped-block sweep at K = 1 and K = 8 under the oracle.
+echo "==> bench/run.sh --workload sweep_thrash --seed 1 --seconds 3 --trace 0 (ledger smoke, iHTL sweeps)"
+bash bench/run.sh --workload sweep_thrash --seed 1 --seconds 3 --trace 0
+
+echo "OK: hermetic build, workspace tests (1/default/4 threads), fmt, lint (R1-R7 + baseline), 64-seed shuffle sweep, quickstart, serve smoke, store smoke, shard smoke, ledger smokes (sweep_resident, sweep_thrash)"

@@ -41,7 +41,7 @@ fn sssp_multi_is_bitwise_equal_to_solo_on_every_engine() {
         let g = hubby_graph(rng);
         let n = g.n_vertices();
         for kind in EngineKind::all() {
-            for k in [1usize, 4, 8] {
+            for k in [1usize, 3, 4, 8] {
                 let sources: Vec<u32> = (0..k).map(|_| rng.gen_index(n) as u32).collect();
                 let mut e = build_engine(kind, &g, &cfg());
                 let multi = sssp_multi(e.as_mut(), &sources, 32);
@@ -62,7 +62,7 @@ fn pagerank_multi_mixed_seed_columns_are_bitwise_solo_on_pull() {
     run_cases(6, 0x77_2026, |rng, case| {
         let g = random_graph(rng, 60, 240);
         let n = g.n_vertices();
-        for k in [1usize, 4, 8] {
+        for k in [1usize, 3, 4, 8] {
             // Odd columns are personalized (seeded teleport), even columns
             // classic uniform PageRank — one sweep serves both kinds.
             let seeds: Vec<Option<u32>> =
@@ -87,7 +87,7 @@ fn spmv_sum_multi_matches_solo_iterations_on_every_engine() {
         let g = hubby_graph(rng);
         let n = g.n_vertices();
         for kind in EngineKind::all() {
-            for k in [1usize, 4, 8] {
+            for k in [1usize, 3, 4, 8] {
                 // Every third column starts from a single-vertex indicator,
                 // the rest from all-ones — both integer-valued.
                 let sources: Vec<Option<u32>> =
@@ -135,7 +135,7 @@ fn pb_and_hybrid_multi_demux_bitwise_on_generated_graphs() {
         let n = g.n_vertices();
         for kind in [EngineKind::Pb, EngineKind::Hybrid] {
             let solo_kind = if kind == EngineKind::Pb { EngineKind::PullGraphGrind } else { kind };
-            for k in [1usize, 4, 8] {
+            for k in [1usize, 3, 4, 8] {
                 let seeds: Vec<Option<u32>> =
                     (0..k).map(|j| (j % 2 == 1).then_some((j * 13 % n) as u32)).collect();
                 let mut e = build_engine(kind, g, &cfg());
