@@ -54,7 +54,7 @@ pub fn propagate_components(engine: &mut dyn SpmvEngine, max_rounds: usize) -> C
     let mut rounds = 0;
     while rounds < max_rounds {
         engine.spmv_min(&labels, &mut incoming);
-        relax_rows(&mut labels, &incoming, |l| l, &improved);
+        relax_rows::<1>(&mut labels, &incoming, |l| l, &improved);
         rounds += 1;
         if !improved.take(0) {
             break;

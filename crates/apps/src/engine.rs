@@ -146,6 +146,8 @@ pub trait SpmvEngine {
 /// The de-interleaving SpMM fallback: runs `solo` on each of the `k`
 /// columns of `x`/`y` in turn. Column `j`'s sweep sees exactly the vector a
 /// solo run would, so the fallback is bitwise identical to `k` solo runs.
+/// At `k = 1` the matrix *is* the column: `solo` runs on it directly, with
+/// no copies, so the K = 1 drivers cost these engines nothing extra.
 fn spmm_by_columns(
     n: usize,
     x: &[f64],
@@ -156,6 +158,9 @@ fn spmm_by_columns(
     assert!(k >= 1, "spmm needs at least one column");
     assert_eq!(x.len(), n * k);
     assert_eq!(y.len(), n * k);
+    if k == 1 {
+        return solo(x, y);
+    }
     let mut xj = vec![0.0; n];
     let mut yj = vec![0.0; n];
     for j in 0..k {

@@ -14,10 +14,7 @@ use ihtl_graph::Graph;
 use crate::bfs::bfs;
 use crate::components::propagate_components;
 use crate::engine::SpmvEngine;
-use crate::multi::{pagerank_multi, pagerank_seeded, spmv_sum_multi, sssp_multi};
-use crate::pagerank::pagerank;
-use crate::spmv::spmv_sum;
-use crate::sssp::sssp;
+use crate::multi::{pagerank_multi, spmv_sum_multi, sssp_multi};
 
 /// A description of one analytics job, independent of the engine that will
 /// run it.
@@ -157,52 +154,54 @@ pub fn run_job(
     let t = Instant::now();
     // Span name is the analytic's stable wire name.
     let _job_span = ihtl_trace::span(spec.name());
-    match *spec {
-        JobSpec::PageRank { iters, seed: None } => {
-            let run = pagerank(engine, iters);
-            // Report rounds actually executed (the empty-graph early return
-            // runs none), not the requested budget.
-            let rounds = run.iter_seconds.len();
-            Ok(JobOutput { values: run.ranks, rounds, seconds: t.elapsed().as_secs_f64() })
-        }
-        JobSpec::PageRank { iters, seed: seed @ Some(_) } => {
-            let values = pagerank_seeded(engine, iters, seed);
-            let rounds = if n == 0 { 0 } else { iters };
-            Ok(JobOutput { values, rounds, seconds: t.elapsed().as_secs_f64() })
-        }
-        JobSpec::SpmvSum { iters, source } => {
-            let run = spmv_sum(engine, iters, source);
-            Ok(JobOutput { values: run.values, rounds: iters, seconds: t.elapsed().as_secs_f64() })
-        }
-        JobSpec::Sssp { source, max_rounds } => {
-            let run = sssp(engine, source, max_rounds);
-            Ok(JobOutput {
-                values: run.dist,
-                rounds: run.rounds,
-                seconds: t.elapsed().as_secs_f64(),
-            })
-        }
+    let (values, rounds) = match *spec {
         JobSpec::Components { max_rounds } => {
             let run = propagate_components(engine, max_rounds);
-            Ok(JobOutput {
-                values: run.labels.iter().map(|&l| l as f64).collect(),
-                rounds: run.rounds,
-                seconds: t.elapsed().as_secs_f64(),
-            })
+            (run.labels.iter().map(|&l| l as f64).collect(), run.rounds)
         }
         JobSpec::Bfs { source } => {
             let g = graph.ok_or("bfs requires the raw graph (unavailable for this dataset)")?;
             let run = bfs(g, source);
-            let values = run
-                .level
-                .iter()
-                .map(|&l| if l == u32::MAX { f64::INFINITY } else { l as f64 })
-                .collect();
-            Ok(JobOutput {
-                values,
-                rounds: run.bottom_up_levels.len(),
-                seconds: t.elapsed().as_secs_f64(),
-            })
+            let levels = run.level.iter();
+            (
+                levels.map(|&l| if l == u32::MAX { f64::INFINITY } else { l as f64 }).collect(),
+                run.bottom_up_levels.len(),
+            )
+        }
+        _ => run_columns(engine, &[spec]).remove(0),
+    };
+    Ok(JobOutput { values, rounds, seconds: t.elapsed().as_secs_f64() })
+}
+
+/// The batchable analytics' one dispatch, shared by [`run_job`] (one
+/// member) and [`run_job_multi`]: runs `members` — validated, non-empty, one
+/// [`JobSpec::batch_group_key`] — through their analytic's K-column driver
+/// and returns each member's values and rounds, in order.
+fn run_columns(engine: &mut dyn SpmvEngine, members: &[&JobSpec]) -> Vec<(Vec<f64>, usize)> {
+    // The per-column parameter a batch varies: seed or source.
+    let params: Vec<Option<u32>> = members
+        .iter()
+        .map(|spec| match **spec {
+            JobSpec::PageRank { seed: param, .. } | JobSpec::SpmvSum { source: param, .. } => param,
+            JobSpec::Sssp { source, .. } => Some(source),
+            JobSpec::Components { .. } | JobSpec::Bfs { .. } => None,
+        })
+        .collect();
+    match *members[0] {
+        JobSpec::PageRank { iters, .. } => {
+            // Rounds actually executed: the empty graph runs none.
+            let rounds = if engine.n_vertices() == 0 { 0 } else { iters };
+            pagerank_multi(engine, iters, &params).into_iter().map(|c| (c, rounds)).collect()
+        }
+        JobSpec::SpmvSum { iters, .. } => {
+            spmv_sum_multi(engine, iters, &params).into_iter().map(|c| (c, iters)).collect()
+        }
+        JobSpec::Sssp { max_rounds, .. } => {
+            let sources: Vec<u32> = params.into_iter().flatten().collect();
+            sssp_multi(engine, &sources, max_rounds)
+        }
+        JobSpec::Components { .. } | JobSpec::Bfs { .. } => {
+            unreachable!("{} jobs have no K-column driver", members[0].name())
         }
     }
 }
@@ -244,65 +243,16 @@ pub fn run_job_multi(
             _ => live.push(i),
         }
     }
-    if live.is_empty() {
-        return results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|| Err("empty batch".to_string())))
-            .collect();
-    }
-    let k = live.len();
-    // lint:allow(R4): wall-clock feeds the reported job timing, not values
-    let t = Instant::now();
-    let _job_span = ihtl_trace::span(specs[live[0]].name()).with_arg(k as u64);
-    match specs[live[0]] {
-        JobSpec::PageRank { iters, .. } => {
-            let seeds: Vec<Option<u32>> = live
-                .iter()
-                .map(|&i| match specs[i] {
-                    JobSpec::PageRank { seed, .. } => seed,
-                    _ => None,
-                })
-                .collect();
-            let cols = pagerank_multi(engine, iters, &seeds);
-            let secs = t.elapsed().as_secs_f64() / k as f64;
-            let rounds = if n == 0 { 0 } else { iters };
-            for (&i, col) in live.iter().zip(cols) {
-                results[i] = Some(Ok(JobOutput { values: col, rounds, seconds: secs }));
-            }
-        }
-        JobSpec::SpmvSum { iters, .. } => {
-            let sources: Vec<Option<u32>> = live
-                .iter()
-                .map(|&i| match specs[i] {
-                    JobSpec::SpmvSum { source, .. } => source,
-                    _ => None,
-                })
-                .collect();
-            let cols = spmv_sum_multi(engine, iters, &sources);
-            let secs = t.elapsed().as_secs_f64() / k as f64;
-            for (&i, col) in live.iter().zip(cols) {
-                results[i] = Some(Ok(JobOutput { values: col, rounds: iters, seconds: secs }));
-            }
-        }
-        JobSpec::Sssp { max_rounds, .. } => {
-            let sources: Vec<u32> = live
-                .iter()
-                .map(|&i| match specs[i] {
-                    JobSpec::Sssp { source, .. } => source,
-                    _ => 0,
-                })
-                .collect();
-            let cols = sssp_multi(engine, &sources, max_rounds);
-            let secs = t.elapsed().as_secs_f64() / k as f64;
-            for (&i, (dist, rounds)) in live.iter().zip(cols) {
-                results[i] = Some(Ok(JobOutput { values: dist, rounds, seconds: secs }));
-            }
-        }
-        JobSpec::Components { .. } | JobSpec::Bfs { .. } => {
-            // Unreachable: batch_group_key() returned None above.
-            for &i in &live {
-                results[i] = Some(Err(format!("{} jobs cannot be batched", specs[i].name())));
-            }
+    if !live.is_empty() {
+        let k = live.len();
+        // lint:allow(R4): wall-clock feeds the reported job timing, not values
+        let t = Instant::now();
+        let _job_span = ihtl_trace::span(specs[live[0]].name()).with_arg(k as u64);
+        let members: Vec<&JobSpec> = live.iter().map(|&i| &specs[i]).collect();
+        let cols = run_columns(engine, &members);
+        let secs = t.elapsed().as_secs_f64() / k as f64;
+        for (&i, (values, rounds)) in live.iter().zip(cols) {
+            results[i] = Some(Ok(JobOutput { values, rounds, seconds: secs }));
         }
     }
     results.into_iter().map(|r| r.unwrap_or_else(|| Err("empty batch".to_string()))).collect()
@@ -426,16 +376,35 @@ mod tests {
     #[test]
     fn run_job_multi_matches_solo_runs_bitwise() {
         let g = paper_example_graph();
-        let mut e = build_engine(EngineKind::Ihtl, &g, &cfg());
-        let specs: Vec<JobSpec> =
+        let empty = Graph::from_edges(0, &[]);
+        let sssp: Vec<JobSpec> =
             [5u32, 0, 2, 6].iter().map(|&s| JobSpec::Sssp { source: s, max_rounds: 32 }).collect();
-        let batched = run_job_multi(e.as_mut(), &specs);
-        for (spec, out) in specs.iter().zip(&batched) {
-            let out = out.as_ref().unwrap();
-            let solo = run_job(e.as_mut(), Some(&g), spec).unwrap();
-            assert_eq!(out.rounds, solo.rounds);
-            for (a, b) in out.values.iter().zip(&solo.values) {
-                assert_eq!(a.to_bits(), b.to_bits());
+        let pr = |seed| JobSpec::PageRank { iters: 8, seed };
+        let sum = |source| JobSpec::SpmvSum { iters: 3, source };
+        let inputs = [
+            (&g, sssp),
+            (&g, vec![pr(None), pr(Some(2)), pr(Some(5)), pr(None)]),
+            (&g, vec![sum(None), sum(Some(1)), sum(Some(6)), sum(None)]),
+            (&g, vec![pr(Some(3))]),
+            (&g, vec![pr(None)]),
+            (&g, vec![sum(Some(2))]),
+            (&g, vec![sum(None)]),
+            (&empty, vec![pr(None), pr(None)]),
+            (&empty, vec![pr(None)]),
+            (&empty, vec![sum(None), sum(None)]),
+            (&empty, vec![sum(None)]),
+        ];
+        for (graph, specs) in &inputs {
+            let mut e = build_engine(EngineKind::Ihtl, graph, &cfg());
+            let batched = run_job_multi(e.as_mut(), specs);
+            for (spec, out) in specs.iter().zip(&batched) {
+                let out = out.as_ref().unwrap();
+                let solo = run_job(e.as_mut(), Some(graph), spec).unwrap();
+                assert_eq!(out.rounds, solo.rounds, "{spec:?}");
+                assert_eq!(out.values.len(), solo.values.len(), "{spec:?}");
+                for (a, b) in out.values.iter().zip(&solo.values) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{spec:?}");
+                }
             }
         }
     }

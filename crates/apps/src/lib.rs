@@ -34,5 +34,5 @@ pub use engine::{
     SpmvEngine,
 };
 pub use jobs::{run_job, run_job_multi, JobOutput, JobSpec};
-pub use multi::{pagerank_multi, pagerank_seeded, spmv_sum_multi, sssp_multi};
-pub use pagerank::{pagerank, PageRankRun};
+pub use multi::{pagerank_multi, spmv_sum_multi, sssp_multi};
+pub use pagerank::{pagerank, pagerank_seeded, PageRankRun};

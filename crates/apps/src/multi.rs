@@ -1,4 +1,5 @@
-//! Multi-query (SpMM) analytics: K independent queries per edge sweep.
+//! The one driver of each batchable analytic: K independent queries per
+//! edge sweep, with the solo run as the K = 1 case.
 //!
 //! Under serving load every queued job re-streams the entire edge array to
 //! produce one value vector, yet the edge stream is the expensive part —
@@ -10,63 +11,79 @@
 //! the row-major `[vertex][k]` layout so one vertex's K values share a
 //! cache line.
 //!
+//! **One body per analytic.** Each driver body is generic over
+//! `const K: usize` like the sweeps it calls (`K == 0` = the runtime `k`,
+//! [`ihtl_traversal::width`]). The `*_multi` entry points dispatch once per
+//! call, `match k { 1 => ::<1>, _ => ::<0> }`, and the solo entry points
+//! (`pagerank`, `pagerank_seeded`, `sssp`, `spmv_sum`, `spmv_iterations`)
+//! are K = 1 calls into the same bodies: a solo run is a one-column batch
+//! whose column loops the constant folds away.
+//!
 //! **Determinism contract.** Each column performs, element for element, the
-//! same floating-point expressions its solo counterpart performs, and the
-//! SpMM kernels fold each column in the solo combine order. Batched results
+//! same floating-point expressions as every other width, and the SpMM
+//! kernels fold each column in the K = 1 combine order. Batched results
 //! are therefore bitwise identical to K solo runs wherever the solo runs
 //! themselves are schedule independent (pull engines on any input; every
 //! engine under the exact-arithmetic discipline of `tests/determinism.rs`).
 
+use std::time::Instant;
+
+use ihtl_traversal::width;
+
 use crate::engine::SpmvEngine;
 use crate::pagerank::DAMPING;
-use crate::rows::{engine_row, original_columns, par_row_blocks, relax_rows, Improved};
+use crate::rows::{
+    engine_row, into_original_columns, original_columns, par_row_blocks, relax_rows, Improved,
+};
+
+/// Result columns (original order) and per-iteration wall-clock seconds.
+pub(crate) type Timed = (Vec<Vec<f64>>, Vec<f64>);
 
 /// PageRank's fused contribution pass over a `[vertex][k]` matrix:
-/// `contrib = rank(idx, j) / out-degree`, the degree read once per row.
+/// `contrib = (c[j] + d·sums[idx]) / out-degree`, or `c[j] / out-degree` on
+/// the first iteration (`sums == None`), the degree read once per row.
 /// Dangling rows are skipped, not zero-filled: `contrib` is allocated zeroed
 /// and no pass ever writes them, so their lines (and the sums feeding them)
 /// cost no traffic — on a graph with many sinks, most of the pass.
-fn scale_rows(
-    contrib: &mut [f64],
-    degs: &[u32],
-    k: usize,
-    rank: impl Fn(usize, usize) -> f64 + Sync,
-) {
-    par_row_blocks(contrib, k, |first_row, block| {
+fn scale_rows<const K: usize>(contrib: &mut [f64], degs: &[u32], c: &[f64], sums: Option<&[f64]>) {
+    par_row_blocks::<K>(contrib, c.len(), |first_row, block| {
+        let k = width::<K>(c.len());
+        let c = &c[..k];
         for (r, out) in block.chunks_exact_mut(k).enumerate() {
             let row = first_row + r;
             let d = degs[row];
             if d > 0 {
-                for (j, c) in out.iter_mut().enumerate() {
-                    *c = rank(row * k + j, j) / d as f64;
+                for (j, x) in out.iter_mut().enumerate() {
+                    let rank = sums.map_or(c[j], |sums| c[j] + DAMPING * sums[row * k + j]);
+                    *x = rank / d as f64;
                 }
             }
         }
     });
 }
 
-/// K PageRank queries in one sweep: column `j` runs `iters` iterations
-/// with teleport seed `seeds[j]` — `None` is the uniform teleport of
-/// [`crate::pagerank::pagerank`], `Some(s)` personalises the teleport (and
-/// the initial ranks) to vertex `s` in original order. Returns one rank
-/// vector (original order) per column.
+/// PageRank's one driver (§4.1): column `j` runs `iters` iterations with
+/// teleport seed `seeds[j]` — `None` is the classic uniform teleport,
+/// `Some(s)` personalises the teleport (and the initial ranks) to vertex
+/// `s` in original order.
 ///
 /// A column's start rank and teleport are one constant on every row but
-/// its seed's — `1/n` and `(1 - d)/n` for a uniform column (exactly the
-/// scalars a solo run uses, so the fused update performs bit-identical
-/// arithmetic), `0` for a seeded one — so no dense teleport vector exists:
-/// each pass applies the per-column constants and then patches the at most
-/// K seed elements.
-pub fn pagerank_multi(
+/// its seed's — `1/n` and `(1 - d)/n` for a uniform column, `0` for a
+/// seeded one — so no dense teleport vector exists: each pass applies the
+/// per-column constants and then patches the at most K seed elements.
+/// Each iteration's contribution pass fuses the previous rank update
+/// `base + d·sums`, and the last update is fused into the way out, so ranks
+/// are only ever materialised as the result columns.
+pub(crate) fn pagerank_columns<const K: usize>(
     engine: &mut dyn SpmvEngine,
     iters: usize,
     seeds: &[Option<u32>],
-) -> Vec<Vec<f64>> {
-    let k = seeds.len();
-    assert!(k >= 1, "pagerank_multi needs at least one column");
+) -> Timed {
+    let k = width::<K>(seeds.len());
+    assert!(k >= 1, "pagerank needs at least one column");
     let n = engine.n_vertices();
     if n == 0 {
-        return vec![Vec::new(); k];
+        return (vec![Vec::new(); k], Vec::new());
     }
     let init = ihtl_trace::span("driver_init");
     let off_seed = |uniform: f64| -> Vec<f64> {
@@ -80,18 +97,19 @@ pub fn pagerank_multi(
     // overwrites `sums` in full.
     let mut contrib = vec![0.0f64; n * k];
     let mut sums = vec![0.0f64; n * k];
+    let mut iter_seconds = Vec::with_capacity(iters);
     drop(init);
     for it in 0..iters {
-        // Same fused contribution/update pass as the solo driver, k columns
-        // wide.
+        // lint:allow(R4): per-iteration timing for the Figure 7 / Table 2 reports
+        let t = Instant::now();
         let degs = engine.out_degrees();
         {
             let _pass = ihtl_trace::span("driver_pass");
             let sums = &sums[..];
             if it == 0 {
-                scale_rows(&mut contrib, degs, k, |_, j| start[j]);
+                scale_rows::<K>(&mut contrib, degs, &start, None);
             } else {
-                scale_rows(&mut contrib, degs, k, |idx, j| base[j] + DAMPING * sums[idx]);
+                scale_rows::<K>(&mut contrib, degs, &base, Some(sums));
             }
             for (j, seed) in seeds.iter().enumerate() {
                 if let Some(s) = *seed {
@@ -104,14 +122,13 @@ pub fn pagerank_multi(
             }
         }
         engine.spmm_add(&contrib, &mut sums, k);
+        iter_seconds.push(t.elapsed().as_secs_f64());
     }
-    // The last rank update is fused into the way out: ranks are only ever
-    // materialised as the K result vectors.
     let sums = &sums[..];
     let mut ranks = if iters == 0 {
-        original_columns(engine, k, |_, j| start[j])
+        original_columns::<K>(engine, k, |_, j| start[j])
     } else {
-        original_columns(engine, k, |row, j| base[j] + DAMPING * sums[row * k + j])
+        original_columns::<K>(engine, k, |idx, j| base[j] + DAMPING * sums[idx])
     };
     for (j, seed) in seeds.iter().enumerate() {
         if let Some(s) = *seed {
@@ -119,32 +136,37 @@ pub fn pagerank_multi(
             ranks[j][s as usize] = seed_rank(iters == 0, sums[row * k + j]);
         }
     }
-    ranks
+    (ranks, iter_seconds)
 }
 
-/// Personalised PageRank: [`crate::pagerank::pagerank`] generalised with an
-/// optional teleport seed. Defined as the single-column case of
-/// [`pagerank_multi`], so solo and batched replies agree by construction.
-pub fn pagerank_seeded(engine: &mut dyn SpmvEngine, iters: usize, seed: Option<u32>) -> Vec<f64> {
-    pagerank_multi(engine, iters, &[seed]).pop().unwrap_or_default()
+/// K PageRank queries in one sweep ([`pagerank_columns`]); returns one rank
+/// vector (original order) per seed.
+pub fn pagerank_multi(
+    engine: &mut dyn SpmvEngine,
+    iters: usize,
+    seeds: &[Option<u32>],
+) -> Vec<Vec<f64>> {
+    match seeds.len() {
+        1 => pagerank_columns::<1>(engine, iters, seeds).0,
+        _ => pagerank_columns::<0>(engine, iters, seeds).0,
+    }
 }
 
-/// K Bellman–Ford queries in one sweep: column `j` relaxes from
-/// `sources[j]` (original ID). Returns `(distances, rounds)` per column;
-/// `rounds` is the round count the solo run would report — the first round
-/// with no improvement for that column (inclusive), capped at
+/// Bellman–Ford's one driver: column `j` relaxes from `sources[j]`
+/// (original ID). Returns `(distances, rounds)` per column; `rounds` is the
+/// first round with no improvement for that column (inclusive), capped at
 /// `max_rounds`. Columns already at fixpoint keep relaxing without change
 /// (min is idempotent), so late columns never perturb early ones.
 ///
 /// The sweep runs over `dist` itself and the relax pass adds the edge
-/// length afterwards — see [`crate::sssp::sssp`].
-pub fn sssp_multi(
+/// length afterwards — see [`crate::sssp`].
+pub(crate) fn sssp_columns<const K: usize>(
     engine: &mut dyn SpmvEngine,
     sources: &[u32],
     max_rounds: usize,
 ) -> Vec<(Vec<f64>, usize)> {
-    let k = sources.len();
-    assert!(k >= 1, "sssp_multi needs at least one column");
+    let k = width::<K>(sources.len());
+    assert!(k >= 1, "sssp needs at least one column");
     let n = engine.n_vertices();
     let init = ihtl_trace::span("driver_init");
     let mut dist = vec![f64::INFINITY; n * k];
@@ -159,7 +181,7 @@ pub fn sssp_multi(
     let mut rounds = 0;
     while rounds < max_rounds && done.iter().any(|d| !d) {
         engine.spmm_min(&dist, &mut relaxed, k);
-        relax_rows(&mut dist, &relaxed, |r| r + 1.0, &improved);
+        relax_rows::<K>(&mut dist, &relaxed, |r| r + 1.0, &improved);
         rounds += 1;
         for j in 0..k {
             if !improved.take(j) && !done[j] {
@@ -168,55 +190,80 @@ pub fn sssp_multi(
             }
         }
     }
-    let dist = &dist[..];
-    original_columns(engine, k, |row, j| dist[row * k + j]).into_iter().zip(col_rounds).collect()
+    into_original_columns::<K>(engine, k, dist).into_iter().zip(col_rounds).collect()
 }
 
-/// K iterated sum-SpMV queries in one sweep: column `j` starts from all
-/// ones (`sources[j] == None`, the classic §2.2 microbenchmark) or from an
-/// indicator at the given original-order vertex. Per-column renormalisation
-/// follows the solo driver's fold order exactly (ascending rows, rescale
-/// when the 1-norm exceeds `1e100`) — which is why the norms are one serial
-/// pass over whole rows, K running sums at a time, and not a parallel
-/// reduction: re-associating the fold would change the rescaled bits.
-pub fn spmv_sum_multi(
+/// K Bellman–Ford queries in one sweep ([`sssp_columns`]).
+pub fn sssp_multi(
     engine: &mut dyn SpmvEngine,
-    iters: usize,
-    sources: &[Option<u32>],
-) -> Vec<Vec<f64>> {
-    let k = sources.len();
-    assert!(k >= 1, "spmv_sum_multi needs at least one column");
-    let n = engine.n_vertices();
-    let init = ihtl_trace::span("driver_init");
-    let ones: Vec<f64> = sources.iter().map(|s| if s.is_none() { 1.0 } else { 0.0 }).collect();
-    let mut x = vec![0.0f64; n * k];
-    if sources.iter().any(Option::is_none) {
-        par_row_blocks(&mut x, k, |_, block| {
-            block.chunks_exact_mut(k).for_each(|row| row.copy_from_slice(&ones));
-        });
+    sources: &[u32],
+    max_rounds: usize,
+) -> Vec<(Vec<f64>, usize)> {
+    match sources.len() {
+        1 => sssp_columns::<1>(engine, sources, max_rounds),
+        _ => sssp_columns::<0>(engine, sources, max_rounds),
     }
+}
+
+/// The engine-order start of K SpMV-sum columns: all ones
+/// (`sources[j] == None`, the classic §2.2 microbenchmark) or an indicator
+/// at the given original-order vertex.
+pub(crate) fn sum_start(engine: &dyn SpmvEngine, sources: &[Option<u32>]) -> Vec<f64> {
+    let k = sources.len();
+    let ones: Vec<f64> = sources.iter().map(|s| if s.is_none() { 1.0 } else { 0.0 }).collect();
+    let mut x = ones.repeat(engine.n_vertices());
     for (j, src) in sources.iter().enumerate() {
         if let Some(s) = *src {
             x[engine_row(engine, s) * k + j] = 1.0;
         }
     }
-    let mut y = vec![0.0f64; n * k];
+    x
+}
+
+/// Iterated sum-SpMV's one driver, `k` columns from the engine-order
+/// `[vertex][k]` matrix `start` builds. Per-column renormalisation keeps
+/// values finite on graphs whose spectral radius exceeds 1: the 1-norm is
+/// a serial fold in ascending rows, and a column whose norm exceeds `1e100`
+/// is rescaled by `1/norm`. The fold is serial on purpose — re-associating
+/// it would change the rescaled bits — and it runs over at most eight
+/// columns at a time with the running sums in a local array: a running sum
+/// in a heap slot costs a store and a reload per element on the add chain.
+pub(crate) fn spmv_columns<const K: usize>(
+    engine: &mut dyn SpmvEngine,
+    iters: usize,
+    k: usize,
+    start: impl FnOnce(&dyn SpmvEngine) -> Vec<f64>,
+) -> Timed {
+    let k = width::<K>(k);
+    assert!(k >= 1, "spmv needs at least one column");
+    let init = ihtl_trace::span("driver_init");
+    let mut x = start(engine);
+    assert_eq!(x.len(), engine.n_vertices() * k);
+    let mut y = vec![0.0f64; x.len()];
     let mut norms = vec![0.0f64; k];
+    let mut iter_seconds = Vec::with_capacity(iters);
     drop(init);
     for _ in 0..iters {
+        // lint:allow(R4): per-iteration timing for the Table 2 report
+        let t = Instant::now();
         engine.spmm_add(&x, &mut y, k);
         std::mem::swap(&mut x, &mut y);
+        iter_seconds.push(t.elapsed().as_secs_f64());
         let _pass = ihtl_trace::span("driver_pass");
-        norms.fill(0.0);
-        for row in x.chunks_exact(k) {
-            for (norm, v) in norms.iter_mut().zip(row) {
-                *norm += v.abs();
+        for first in (0..k).step_by(8) {
+            let w = (k - first).min(8);
+            let mut acc = [0.0f64; 8];
+            for row in x.chunks_exact(k) {
+                for (a, v) in acc[..w].iter_mut().zip(&row[first..first + w]) {
+                    *a += v.abs();
+                }
             }
+            norms[first..first + w].copy_from_slice(&acc[..w]);
         }
         if norms.iter().any(|&norm| norm > 1e100) {
             let norms = &norms[..];
-            par_row_blocks(&mut x, k, |_, block| {
-                for row in block.chunks_exact_mut(k) {
+            par_row_blocks::<K>(&mut x, k, |_, block| {
+                for row in block.chunks_exact_mut(width::<K>(k)) {
                     for (v, &norm) in row.iter_mut().zip(norms) {
                         if norm > 1e100 {
                             *v *= 1.0 / norm;
@@ -226,15 +273,27 @@ pub fn spmv_sum_multi(
             });
         }
     }
-    let x = &x[..];
-    original_columns(engine, k, |row, j| x[row * k + j])
+    (into_original_columns::<K>(engine, k, x), iter_seconds)
+}
+
+/// K iterated sum-SpMV queries in one sweep ([`spmv_columns`] from
+/// [`sum_start`]).
+pub fn spmv_sum_multi(
+    engine: &mut dyn SpmvEngine,
+    iters: usize,
+    sources: &[Option<u32>],
+) -> Vec<Vec<f64>> {
+    match sources.len() {
+        1 => spmv_columns::<1>(engine, iters, 1, |e| sum_start(e, sources)).0,
+        k => spmv_columns::<0>(engine, iters, k, |e| sum_start(e, sources)).0,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{build_engine, EngineKind};
-    use crate::pagerank::pagerank;
+    use crate::pagerank::{pagerank, pagerank_seeded};
     use crate::spmv::spmv_iterations;
     use crate::sssp::sssp;
     use ihtl_core::IhtlConfig;

@@ -5,10 +5,8 @@
 //! Each iteration is one sum-SpMV over contributions `x[u] = PR[u]/deg⁺(u)`,
 //! which is exactly what Figures 7/8 time per iteration.
 
-use std::time::Instant;
-
 use crate::engine::SpmvEngine;
-use crate::rows::original_columns;
+use crate::multi::pagerank_columns;
 
 /// Damping factor used throughout the paper's evaluation.
 pub const DAMPING: f64 = 0.85;
@@ -33,57 +31,21 @@ impl PageRankRun {
     }
 }
 
-/// Runs `iters` PageRank iterations on `engine`.
+/// Runs `iters` PageRank iterations on `engine`: the K = 1 case of
+/// [`crate::multi::pagerank_multi`]'s driver. Dangling vertices contribute
+/// 0 (the paper's formula divides by |N⁺|, which only appears for vertices
+/// that have out-edges).
 pub fn pagerank(engine: &mut dyn SpmvEngine, iters: usize) -> PageRankRun {
-    let n = engine.n_vertices();
-    if n == 0 {
-        return PageRankRun { ranks: Vec::new(), iter_seconds: Vec::new() };
-    }
-    let init = ihtl_trace::span("driver_init");
-    // Uniform start and teleport: the same scalars in any vertex order.
-    let start = 1.0 / n as f64;
-    let base = (1.0 - DAMPING) / n as f64;
-    // `contrib` must start zeroed (see the pass); every sweep overwrites
-    // `sums` in full.
-    let mut contrib = vec![0.0f64; n];
-    let mut sums = vec![0.0f64; n];
-    let mut iter_seconds = Vec::with_capacity(iters);
-    drop(init);
+    let (mut ranks, iter_seconds) = pagerank_columns::<1>(engine, iters, &[None]);
+    PageRankRun { ranks: ranks.pop().unwrap_or_default(), iter_seconds }
+}
 
-    for it in 0..iters {
-        // lint:allow(R4): per-iteration timing for the Table 2 report
-        let t = Instant::now();
-        // Contribution of each vertex; dangling vertices contribute 0 (the
-        // paper's formula divides by |N⁺| which only appears for vertices
-        // that have out-edges) — the zero they were allocated with, never
-        // rewritten, so runs of sinks cost the pass no traffic. From the
-        // second iteration on, the rank update `base + d·sums` is fused into
-        // this scaling pass — same per-element arithmetic, one fewer
-        // full-vector sweep per iteration — and the last one into the way
-        // back to original order, so ranks are materialised only once, as
-        // the result.
-        let degs = engine.out_degrees();
-        {
-            let _pass = ihtl_trace::span("driver_pass");
-            let sums = &sums[..];
-            ihtl_parallel::par_for_each_mut(&mut contrib, 4096, |i, c| {
-                let d = degs[i];
-                if d > 0 {
-                    let rank = if it == 0 { start } else { base + DAMPING * sums[i] };
-                    *c = rank / d as f64;
-                }
-            });
-        }
-        engine.spmv_add(&contrib, &mut sums);
-        iter_seconds.push(t.elapsed().as_secs_f64());
-    }
-    let sums = &sums[..];
-    let ranks = if iters == 0 {
-        vec![start; n]
-    } else {
-        original_columns(engine, 1, |row, _| base + DAMPING * sums[row]).pop().unwrap_or_default()
-    };
-    PageRankRun { ranks, iter_seconds }
+/// Personalised PageRank: [`pagerank`] with an optional teleport seed (and
+/// start vector) at original vertex `seed` — one column of the same driver
+/// as the batched queries, so solo and batched replies agree by
+/// construction.
+pub fn pagerank_seeded(engine: &mut dyn SpmvEngine, iters: usize, seed: Option<u32>) -> Vec<f64> {
+    pagerank_columns::<1>(engine, iters, &[seed]).0.pop().unwrap_or_default()
 }
 
 #[cfg(test)]

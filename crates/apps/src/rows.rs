@@ -6,10 +6,13 @@
 //! itself, so it follows the same rules: every pass is parallel over whole
 //! `[vertex][k]` rows (no per-element `idx / k`), nothing dense is built in
 //! original order only to be permuted, and the way back to original order
-//! is the pass that produces the result. Solo drivers use the same blocks
-//! at `k = 1`.
+//! is the pass that produces the result. Each pass takes the driver's
+//! compile-time width `K` (`K == 0` = the runtime `k`, see
+//! [`ihtl_traversal::width`]), so at K = 1 the column loops fold away.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+
+use ihtl_traversal::width;
 
 use crate::engine::SpmvEngine;
 
@@ -29,8 +32,14 @@ pub(crate) fn engine_row(engine: &dyn SpmvEngine, v: u32) -> usize {
 }
 
 /// Calls `f(first_row, block)` on consecutive blocks of whole `k`-wide rows
-/// of `m`, in parallel.
-pub(crate) fn par_row_blocks(m: &mut [f64], k: usize, f: impl Fn(usize, &mut [f64]) + Sync) {
+/// of `m`, in parallel. The pool calls `f` through dynamic dispatch, so `f`
+/// re-derives `k = width::<K>(k)` at its top rather than load a captured `k`.
+pub(crate) fn par_row_blocks<const K: usize>(
+    m: &mut [f64],
+    k: usize,
+    f: impl Fn(usize, &mut [f64]) + Sync,
+) {
+    let k = width::<K>(k);
     let rows = rows_per_task(k);
     ihtl_parallel::par_chunks_mut(m, rows * k, |ci, block| f(ci * rows, block));
 }
@@ -54,7 +63,7 @@ impl Improved {
 /// The fused relax pass of the min-propagation drivers, over a
 /// `[vertex][k]` matrix in parallel: `cur = min(cur, cand(incoming))`
 /// element by element, raising `improved` for every column that got smaller.
-pub(crate) fn relax_rows(
+pub(crate) fn relax_rows<const K: usize>(
     cur: &mut [f64],
     incoming: &[f64],
     cand: impl Fn(f64) -> f64 + Sync,
@@ -62,7 +71,8 @@ pub(crate) fn relax_rows(
 ) {
     let _span = ihtl_trace::span("driver_pass");
     let k = improved.0.len();
-    par_row_blocks(cur, k, |first_row, block| {
+    par_row_blocks::<K>(cur, k, |first_row, block| {
+        let k = width::<K>(k);
         let incoming = &incoming[first_row * k..][..block.len()];
         // Blocks start on a row boundary: the column is a counter, not a
         // remainder.
@@ -87,23 +97,37 @@ pub(crate) fn relax_rows(
 }
 
 /// The drivers' way back to original order, as the pass that produces the
-/// results: `k` vectors whose element `o` of column `j` is `value(row, j)`
-/// at the engine-order row of original vertex `o`. A parallel gather — one
-/// row fetch feeds all `k` columns, and every output is written
-/// sequentially, exactly once.
-pub(crate) fn original_columns(
+/// results: `k` vectors whose element `o` of column `j` is `value(idx, j)`,
+/// `idx = row * k + j` at the engine-order row of original vertex `o`. A
+/// parallel gather — one row fetch feeds all `k` columns, and every output
+/// is written sequentially, exactly once.
+pub(crate) fn original_columns<const K: usize>(
     engine: &dyn SpmvEngine,
     k: usize,
     value: impl Fn(usize, usize) -> f64 + Sync,
 ) -> Vec<Vec<f64>> {
     let _span = ihtl_trace::span("driver_output");
+    let k = width::<K>(k);
     let (n, grain) = (engine.n_vertices(), rows_per_task(k));
     match engine.engine_rows() {
-        None => ihtl_parallel::par_map_columns(n, k, grain, value),
-        Some(rows) => {
-            ihtl_parallel::par_map_columns(n, k, grain, |o, j| value(rows[o] as usize, j))
-        }
+        None => ihtl_parallel::par_map_columns(n, k, grain, |o, j| value(o * width::<K>(k) + j, j)),
+        Some(rows) => ihtl_parallel::par_map_columns(n, k, grain, |o, j| {
+            value(rows[o] as usize * width::<K>(k) + j, j)
+        }),
     }
+}
+
+/// [`original_columns`] of a plain `[vertex][k]` matrix, consumed: one
+/// column in original order already is the result, so it moves out uncopied.
+pub(crate) fn into_original_columns<const K: usize>(
+    engine: &dyn SpmvEngine,
+    k: usize,
+    m: Vec<f64>,
+) -> Vec<Vec<f64>> {
+    if width::<K>(k) == 1 && engine.engine_rows().is_none() {
+        return vec![m];
+    }
+    original_columns::<K>(engine, k, |idx, _| m[idx])
 }
 
 #[cfg(test)]
@@ -119,11 +143,11 @@ mod tests {
             (0..n * k).map(|i| if i % k == 1 { 100.0 } else { (i % 5) as f64 }).collect();
         let expect: Vec<f64> = cur.iter().zip(&incoming).map(|(&c, &i)| c.min(i + 1.0)).collect();
         let improved = Improved::new(k);
-        relax_rows(&mut cur, &incoming, |r| r + 1.0, &improved);
+        relax_rows::<0>(&mut cur, &incoming, |r| r + 1.0, &improved);
         assert_eq!(cur, expect);
         assert_eq!([improved.take(0), improved.take(1), improved.take(2)], [true, false, true]);
         // Taking clears; a second pass over the fixpoint raises nothing.
-        relax_rows(&mut cur, &incoming, |r| r + 1.0, &improved);
+        relax_rows::<0>(&mut cur, &incoming, |r| r + 1.0, &improved);
         assert!(!(0..k).any(|j| improved.take(j)));
     }
 }

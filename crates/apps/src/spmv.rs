@@ -3,10 +3,8 @@
 //! vertex as summation of previous data of its in-neighbours":
 //! `u_i[v] = Σ_{u ∈ N⁻(v)} u_{i-1}[u]`).
 
-use std::time::Instant;
-
 use crate::engine::SpmvEngine;
-use crate::rows::engine_row;
+use crate::multi::{spmv_columns, sum_start, Timed};
 
 /// Result of iterated SpMV.
 #[derive(Clone, Debug)]
@@ -17,56 +15,24 @@ pub struct SpmvRun {
     pub iter_seconds: Vec<f64>,
 }
 
+fn solo((mut values, iter_seconds): Timed) -> SpmvRun {
+    SpmvRun { values: values.pop().unwrap_or_default(), iter_seconds }
+}
+
 /// Runs `iters` sum-SpMV iterations starting from `x0` (original order).
 /// Values are renormalised each iteration to keep them finite on graphs
 /// whose spectral radius exceeds 1 (any graph with a vertex of in-degree
 /// > 1 would otherwise overflow in a few hundred iterations).
 pub fn spmv_iterations(engine: &mut dyn SpmvEngine, x0: &[f64], iters: usize) -> SpmvRun {
     assert_eq!(x0.len(), engine.n_vertices());
-    iterate(engine, |e| e.from_original_order(x0), iters)
+    solo(spmv_columns::<1>(engine, iters, 1, |e| e.from_original_order(x0)))
 }
 
 /// [`spmv_iterations`] from all ones (`source == None`, the same in any
 /// vertex order) or from an indicator at original vertex `source` (one
-/// element): the start is written straight in engine order.
+/// element): the K = 1 case of [`crate::multi::spmv_sum_multi`].
 pub fn spmv_sum(engine: &mut dyn SpmvEngine, iters: usize, source: Option<u32>) -> SpmvRun {
-    let start = |e: &dyn SpmvEngine| {
-        let mut x = vec![if source.is_none() { 1.0 } else { 0.0 }; e.n_vertices()];
-        if let Some(s) = source {
-            x[engine_row(e, s)] = 1.0;
-        }
-        x
-    };
-    iterate(engine, start, iters)
-}
-
-/// The iteration loop, from an engine-order start vector.
-fn iterate(
-    engine: &mut dyn SpmvEngine,
-    start: impl FnOnce(&dyn SpmvEngine) -> Vec<f64>,
-    iters: usize,
-) -> SpmvRun {
-    let init = ihtl_trace::span("driver_init");
-    let mut x = start(engine);
-    let mut y = vec![0.0f64; x.len()];
-    drop(init);
-    let mut iter_seconds = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        // lint:allow(R4): per-iteration timing for the Table 2 report
-        let t = Instant::now();
-        engine.spmv_add(&x, &mut y);
-        std::mem::swap(&mut x, &mut y);
-        iter_seconds.push(t.elapsed().as_secs_f64());
-        // A serial fold on purpose: the rescaled bits depend on its order.
-        let _pass = ihtl_trace::span("driver_pass");
-        let norm: f64 = x.iter().map(|v| v.abs()).sum();
-        if norm > 1e100 {
-            let inv = 1.0 / norm;
-            ihtl_parallel::par_for_each_mut(&mut x, 4096, |_, v| *v *= inv);
-        }
-    }
-    let _out = ihtl_trace::span("driver_output");
-    SpmvRun { values: engine.to_original_order(&x), iter_seconds }
+    solo(spmv_columns::<1>(engine, iters, 1, |e| sum_start(e, &[source])))
 }
 
 #[cfg(test)]

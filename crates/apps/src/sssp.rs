@@ -12,7 +12,7 @@
 //! per vertex into a bumped copy of `dist` before every sweep.
 
 use crate::engine::SpmvEngine;
-use crate::rows::{engine_row, relax_rows, Improved};
+use crate::multi::sssp_columns;
 
 /// Result of an SSSP run.
 #[derive(Clone, Debug)]
@@ -24,27 +24,12 @@ pub struct SsspRun {
     pub rounds: usize,
 }
 
-/// Runs Bellman–Ford from `source` (original vertex ID). Stops at the first
-/// round with no improvement or after `max_rounds`.
+/// Runs Bellman–Ford from `source` (original vertex ID): the K = 1 case of
+/// [`crate::multi::sssp_multi`]'s driver. Stops at the first round with no
+/// improvement or after `max_rounds`.
 pub fn sssp(engine: &mut dyn SpmvEngine, source: u32, max_rounds: usize) -> SsspRun {
-    let n = engine.n_vertices();
-    let init = ihtl_trace::span("driver_init");
-    let mut dist = vec![f64::INFINITY; n];
-    dist[engine_row(engine, source)] = 0.0;
-    let mut relaxed = vec![0.0f64; n];
-    let improved = Improved::new(1);
-    drop(init);
-    let mut rounds = 0;
-    while rounds < max_rounds {
-        engine.spmv_min(&dist, &mut relaxed);
-        relax_rows(&mut dist, &relaxed, |r| r + 1.0, &improved);
-        rounds += 1;
-        if !improved.take(0) {
-            break;
-        }
-    }
-    let _out = ihtl_trace::span("driver_output");
-    SsspRun { dist: engine.to_original_order(&dist), rounds }
+    let (dist, rounds) = sssp_columns::<1>(engine, &[source], max_rounds).remove(0);
+    SsspRun { dist, rounds }
 }
 
 #[cfg(test)]

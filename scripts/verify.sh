@@ -63,4 +63,10 @@ bash bench/run.sh --workload sweep_resident --seed 1 --seconds 3 --trace 0
 echo "==> bench/run.sh --workload sweep_thrash --seed 1 --seconds 3 --trace 0 (ledger smoke, iHTL sweeps)"
 bash bench/run.sh --workload sweep_thrash --seed 1 --seconds 3 --trace 0
 
-echo "OK: hermetic build, workspace tests (1/default/4 threads), fmt, lint (R1-R7 + baseline), 64-seed shuffle sweep, quickstart, serve smoke, store smoke, shard smoke, ledger smokes (sweep_resident, sweep_thrash)"
+# serve_mixed is half `spmv iters=2` (solo and coalesced) and 15 % seeded
+# PageRank: this run puts the SpMV-sum and seeded PageRank drivers under
+# the oracle, which the two sweep smokes (uniform PageRank, SSSP) do not.
+echo "==> bench/run.sh --workload serve_mixed --seed 1 --seconds 3 --trace 0 (ledger smoke, serving mix)"
+bash bench/run.sh --workload serve_mixed --seed 1 --seconds 3 --trace 0
+
+echo "OK: hermetic build, workspace tests (1/default/4 threads), fmt, lint (R1-R7 + baseline), 64-seed shuffle sweep, quickstart, serve smoke, store smoke, shard smoke, ledger smokes (sweep_resident, sweep_thrash, serve_mixed)"
