@@ -99,7 +99,7 @@ mod tests {
     fn paper_example_is_weakly_connected() {
         let g = paper_example_graph();
         let sym = symmetrize(&g);
-        for kind in [EngineKind::PullGraphGrind, EngineKind::Ihtl, EngineKind::PushGraphIt] {
+        for kind in [EngineKind::PullGraphGrind, EngineKind::Ihtl, EngineKind::Pb] {
             let mut e = build_engine(kind, &sym, &cfg());
             let run = propagate_components(e.as_mut(), 100);
             assert_eq!(count_components(&run.labels), 1, "{kind:?}");
@@ -126,7 +126,7 @@ mod tests {
     fn isolated_vertices_keep_own_label() {
         let g = Graph::from_edges(4, &[(0, 1)]);
         let sym = symmetrize(&g);
-        let mut e = build_engine(EngineKind::PullGalois, &sym, &cfg());
+        let mut e = build_engine(EngineKind::PullGraphGrind, &sym, &cfg());
         let run = propagate_components(e.as_mut(), 10);
         assert_eq!(run.labels, vec![0, 0, 2, 3]);
     }

@@ -1,10 +1,11 @@
-//! The engine abstraction: one SpMV implementation per paper baseline.
+//! The engine abstraction: one SpMV implementation per served strategy —
+//! GraphGrind pull, iHTL, propagation blocking and the iHTL+PB hybrid.
 //!
-//! An engine owns whatever preprocessed structure its strategy needs
-//! (segmented CSC, destination partitions, the iHTL graph) plus reusable
-//! scratch, and exposes object-safe `spmv_add` / `spmv_min` so the analytic
-//! layer can iterate over `dyn SpmvEngine`s uniformly — mirroring how the
-//! paper runs the same PageRank in every framework.
+//! An engine owns whatever preprocessed structure its strategy needs (the
+//! iHTL graph, the PB bins) plus reusable scratch, and exposes object-safe
+//! `spmv_add` / `spmv_min` so the analytic layer can iterate over
+//! `dyn SpmvEngine`s uniformly — mirroring how the paper runs the same
+//! PageRank in every framework.
 //!
 //! Engines that keep the input graph around are generic over
 //! `Borrow<Graph>`: batch callers pass `&Graph` ([`build_engine`]) and pay
@@ -20,26 +21,15 @@ use std::sync::Arc;
 use ihtl_core::{HybridPlan, IhtlConfig, IhtlGraph, ThreadBuffers};
 use ihtl_graph::Graph;
 use ihtl_traversal::pb::PbGraph;
-use ihtl_traversal::pull::{
-    spmv_pull, spmv_pull_chunked, spmv_pull_multi, spmv_pull_segmented, SegmentedCsc,
-};
-use ihtl_traversal::push::{spmv_push_atomic, spmv_push_partitioned, DstPartitionedCsr};
+use ihtl_traversal::pull::{spmv_pull, spmv_pull_multi};
 use ihtl_traversal::{Add, Min};
 
-/// The traversal strategies of the paper's evaluation (Figure 7 columns),
-/// plus iHTL and the propagation-blocking additions.
+/// The served traversal strategies: the paper's pull baseline, iHTL, and
+/// the propagation-blocking additions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
     /// GraphGrind pull: edge-balanced contiguous partitions.
     PullGraphGrind,
-    /// GraphIt pull: Cagra-style source-segmented CSC.
-    PullGraphIt,
-    /// Galois pull: fine-grained chunked scheduling.
-    PullGalois,
-    /// GraphGrind push: destination-partitioned, race-free.
-    PushGraphGrind,
-    /// GraphIt push: atomic CAS updates.
-    PushGraphIt,
     /// The paper's contribution.
     Ihtl,
     /// Propagation-blocking push: contributions binned by destination
@@ -55,29 +45,15 @@ impl EngineKind {
     pub fn label(&self) -> &'static str {
         match self {
             EngineKind::PullGraphGrind => "pull/GraphGrind",
-            EngineKind::PullGraphIt => "pull/GraphIt",
-            EngineKind::PullGalois => "pull/Galois",
-            EngineKind::PushGraphGrind => "push/GraphGrind",
-            EngineKind::PushGraphIt => "push/GraphIt",
             EngineKind::Ihtl => "iHTL",
             EngineKind::Pb => "push/PB",
             EngineKind::Hybrid => "iHTL+PB",
         }
     }
 
-    /// All kinds in the order Figure 7 reports them, with the
-    /// propagation-blocking additions appended.
-    pub fn all() -> [EngineKind; 8] {
-        [
-            EngineKind::PushGraphGrind,
-            EngineKind::PushGraphIt,
-            EngineKind::PullGraphGrind,
-            EngineKind::PullGraphIt,
-            EngineKind::PullGalois,
-            EngineKind::Ihtl,
-            EngineKind::Pb,
-            EngineKind::Hybrid,
-        ]
+    /// All kinds, in the order the wire vocabulary lists them.
+    pub fn all() -> [EngineKind; 4] {
+        [EngineKind::Ihtl, EngineKind::PullGraphGrind, EngineKind::Pb, EngineKind::Hybrid]
     }
 }
 
@@ -101,7 +77,7 @@ pub trait SpmvEngine {
     fn spmv_min(&mut self, x: &[f64], y: &mut [f64]);
 
     /// Maps a vector from the engine's order back to original vertex IDs
-    /// (identity for every engine except iHTL).
+    /// (identity for pull and PB).
     fn to_original_order(&self, v: &[f64]) -> Vec<f64> {
         v.to_vec()
     }
@@ -118,9 +94,9 @@ pub trait SpmvEngine {
     /// `[vertex][k]`, so one vertex's `k` values share a cache line) — one
     /// call serves `k` independent queries. The default de-interleaves into
     /// `k` solo sweeps, which is bitwise identical to `k` separate
-    /// [`SpmvEngine::spmv_add`] calls by construction; engines with native
-    /// SpMM kernels (iHTL, GraphGrind pull) override it so the `k` queries
-    /// share a single edge sweep.
+    /// [`SpmvEngine::spmv_add`] calls by construction. All four
+    /// [`EngineKind`] engines (pull, iHTL, PB, hybrid) have native SpMM
+    /// kernels and override it so the `k` queries share a single edge sweep.
     fn spmm_add(&mut self, x: &[f64], y: &mut [f64], k: usize) {
         let n = self.n_vertices();
         spmm_by_columns(n, x, y, k, |xj, yj| self.spmv_add(xj, yj));
@@ -134,10 +110,10 @@ pub trait SpmvEngine {
     }
 
     /// Engine-order row of every original vertex (`rows[original]`), or
-    /// `None` when the engine works in original order (every engine but iHTL
-    /// and the hybrid). With it a driver writes a seed or source straight
-    /// into an engine-order vector and gathers results back in the pass
-    /// that produces them, instead of permuting dense temporaries.
+    /// `None` when the engine works in original order (pull and PB). With it
+    /// a driver writes a seed or source straight into an engine-order vector
+    /// and gathers results back in the pass that produces them, instead of
+    /// permuting dense temporaries.
     fn engine_rows(&self) -> Option<&[u32]> {
         None
     }
@@ -176,8 +152,8 @@ fn spmm_by_columns(
 
 /// Builds the engine of the given kind over `g`, generic in how the graph
 /// is held (`&Graph` or `Arc<Graph>`). The construction cost is the
-/// engine's preprocessing (what Table 2 prices for iHTL; the blocked
-/// baselines pay analogous costs at load time).
+/// engine's preprocessing (what Table 2 prices for iHTL; PB pays for its
+/// bin layout the same way).
 fn build_engine_over<'g, G>(
     kind: EngineKind,
     g: G,
@@ -191,18 +167,6 @@ where
         (0..gr.n_vertices() as u32).map(|v| gr.out_degree(v) as u32).collect();
     match kind {
         EngineKind::PullGraphGrind => Box::new(PullGraphGrind { g, out_degrees }),
-        EngineKind::PullGraphIt => {
-            // Segment width sized so a segment's source data fits the same
-            // cache budget iHTL uses (Cagra's sizing rule).
-            let width = (ihtl_cfg.cache_budget_bytes / ihtl_cfg.vertex_data_bytes).max(1);
-            Box::new(PullGraphIt { seg: SegmentedCsc::new(gr, width), out_degrees })
-        }
-        EngineKind::PullGalois => Box::new(PullGalois { g, out_degrees, chunk: 256 }),
-        EngineKind::PushGraphGrind => {
-            let parts = ihtl_traversal::pull::default_parts();
-            Box::new(PushGraphGrind { part: DstPartitionedCsr::new(gr, parts), out_degrees })
-        }
-        EngineKind::PushGraphIt => Box::new(PushGraphIt { g, out_degrees }),
         EngineKind::Ihtl => {
             let ih = Arc::new(IhtlGraph::build(gr, ihtl_cfg));
             Box::new(ihtl_engine_from_shared(ih))
@@ -268,99 +232,6 @@ impl<G: Borrow<Graph> + Send> SpmvEngine for PullGraphGrind<G> {
     }
     fn spmm_min(&mut self, x: &[f64], y: &mut [f64], k: usize) {
         spmv_pull_multi::<Min>(self.g.borrow(), x, y, k);
-    }
-}
-
-struct PullGraphIt {
-    seg: SegmentedCsc,
-    out_degrees: Vec<u32>,
-}
-
-impl SpmvEngine for PullGraphIt {
-    fn n_vertices(&self) -> usize {
-        self.out_degrees.len()
-    }
-    fn label(&self) -> &'static str {
-        EngineKind::PullGraphIt.label()
-    }
-    fn out_degrees(&self) -> &[u32] {
-        &self.out_degrees
-    }
-    fn spmv_add(&mut self, x: &[f64], y: &mut [f64]) {
-        spmv_pull_segmented::<Add>(&self.seg, x, y);
-    }
-    fn spmv_min(&mut self, x: &[f64], y: &mut [f64]) {
-        spmv_pull_segmented::<Min>(&self.seg, x, y);
-    }
-}
-
-struct PullGalois<G> {
-    g: G,
-    out_degrees: Vec<u32>,
-    chunk: usize,
-}
-
-impl<G: Borrow<Graph> + Send> SpmvEngine for PullGalois<G> {
-    fn n_vertices(&self) -> usize {
-        self.g.borrow().n_vertices()
-    }
-    fn label(&self) -> &'static str {
-        EngineKind::PullGalois.label()
-    }
-    fn out_degrees(&self) -> &[u32] {
-        &self.out_degrees
-    }
-    fn spmv_add(&mut self, x: &[f64], y: &mut [f64]) {
-        spmv_pull_chunked::<Add>(self.g.borrow(), x, y, self.chunk);
-    }
-    fn spmv_min(&mut self, x: &[f64], y: &mut [f64]) {
-        spmv_pull_chunked::<Min>(self.g.borrow(), x, y, self.chunk);
-    }
-}
-
-struct PushGraphGrind {
-    part: DstPartitionedCsr,
-    out_degrees: Vec<u32>,
-}
-
-impl SpmvEngine for PushGraphGrind {
-    fn n_vertices(&self) -> usize {
-        self.out_degrees.len()
-    }
-    fn label(&self) -> &'static str {
-        EngineKind::PushGraphGrind.label()
-    }
-    fn out_degrees(&self) -> &[u32] {
-        &self.out_degrees
-    }
-    fn spmv_add(&mut self, x: &[f64], y: &mut [f64]) {
-        spmv_push_partitioned::<Add>(&self.part, x, y);
-    }
-    fn spmv_min(&mut self, x: &[f64], y: &mut [f64]) {
-        spmv_push_partitioned::<Min>(&self.part, x, y);
-    }
-}
-
-struct PushGraphIt<G> {
-    g: G,
-    out_degrees: Vec<u32>,
-}
-
-impl<G: Borrow<Graph> + Send> SpmvEngine for PushGraphIt<G> {
-    fn n_vertices(&self) -> usize {
-        self.g.borrow().n_vertices()
-    }
-    fn label(&self) -> &'static str {
-        EngineKind::PushGraphIt.label()
-    }
-    fn out_degrees(&self) -> &[u32] {
-        &self.out_degrees
-    }
-    fn spmv_add(&mut self, x: &[f64], y: &mut [f64]) {
-        spmv_push_atomic::<Add>(self.g.borrow(), x, y);
-    }
-    fn spmv_min(&mut self, x: &[f64], y: &mut [f64]) {
-        spmv_push_atomic::<Min>(self.g.borrow(), x, y);
     }
 }
 
@@ -451,8 +322,8 @@ impl SpmvEngine for Ihtl {
 /// The propagation-blocking push engine: contributions are binned by
 /// destination cache segment during the source sweep, then merged
 /// segment-by-segment ([`PbGraph`]). Works in original vertex order, and —
-/// uniquely among the push engines — is bitwise identical to pull for any
-/// monoid and inputs (every edge's bin slot is fixed at build time).
+/// unlike an atomic push — is bitwise identical to pull for any monoid and
+/// inputs (every edge's bin slot is fixed at build time).
 pub struct Pb {
     /// Shared so a disk-loaded layout can back many pooled engines (and
     /// stay resident across engine rebuilds) without copying the bins.
@@ -698,6 +569,6 @@ mod tests {
     fn labels_are_distinct() {
         let labels: std::collections::HashSet<_> =
             EngineKind::all().iter().map(|k| k.label()).collect();
-        assert_eq!(labels.len(), 8);
+        assert_eq!(labels.len(), 4);
     }
 }

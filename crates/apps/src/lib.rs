@@ -13,8 +13,8 @@
 //! * [`bfs`] — direction-optimizing BFS, the push-OR-pull scheme the
 //!   paper's §5.2 contrasts with iHTL's per-vertex-type mix.
 //!
-//! All of them run on any [`engine::SpmvEngine`], so every paper baseline
-//! (five traversal strategies) and iHTL execute the identical analytic code.
+//! All of them run on any [`engine::SpmvEngine`], so the served engines and
+//! Figure 7's framework baselines execute the identical analytic code.
 
 #![forbid(unsafe_code)]
 

@@ -103,7 +103,7 @@ mod tests {
     #[test]
     fn converges_on_a_cycle_to_uniform() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let mut e = build_engine(EngineKind::PullGalois, &g, &cfg());
+        let mut e = build_engine(EngineKind::PullGraphGrind, &g, &cfg());
         let run = pagerank(e.as_mut(), 50);
         for &r in &run.ranks {
             assert!((r - 0.25).abs() < 1e-10, "rank {r}");

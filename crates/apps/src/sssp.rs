@@ -55,7 +55,7 @@ mod tests {
     #[test]
     fn unreachable_stays_infinite() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
-        let mut e = build_engine(EngineKind::PullGalois, &g, &cfg());
+        let mut e = build_engine(EngineKind::PullGraphGrind, &g, &cfg());
         let run = sssp(e.as_mut(), 0, 100);
         assert_eq!(run.dist[1], 1.0);
         assert!(run.dist[2].is_infinite());

@@ -115,14 +115,9 @@ fn seeds(g: &Graph, k: usize) -> Vec<Option<u32>> {
 }
 
 #[test]
-fn pagerank_multi_equals_solo_on_every_repeatable_engine() {
+fn pagerank_multi_equals_solo_on_every_engine() {
     let g = rmat();
     for kind in EngineKind::all() {
-        // The CAS push adds in arrival order: its solo runs do not repeat
-        // bitwise on non-integer values, so there is nothing to equal.
-        if kind == EngineKind::PushGraphIt {
-            continue;
-        }
         let mut e = build_engine(kind, &g, &cfg());
         for iters in [0usize, 1, 5] {
             for k in WIDTHS {

@@ -8,18 +8,18 @@
 //! one Twitter-like graph big enough that the randomly-read vertex data
 //! exceeds the real LLC, then times pull vs push vs iHTL for real.
 //!
-//! Scale 25 → 33.5 M vertices ≈ 268 MB of 8-byte vertex data (the container
-//! reports a 260 MB L3). ~20 GB would be needed to dwarf the LLC by the
-//! paper's 18×; this is the largest configuration that fits the machine,
-//! so expect the iHTL/pull gap to be directionally right but smaller than
-//! the paper's 1.5–2.4×.
+//! Vertex data is 8·2^S bytes (scale 24 → 134 MB, 25 → 268 MB): pick the
+//! smallest scale whose vertex data exceeds the LLC. Dwarfing the LLC by
+//! the paper's 18× would take tens of GB, so expect the iHTL/pull gap to be
+//! directionally right but smaller than the paper's 1.5–2.4×.
 //!
-//! Runs several minutes. `IHTL_LARGE_SCALE=23` shrinks it.
+//! Runs several minutes; `IHTL_LARGE_SCALE=N` picks the scale (default 25).
 
 use std::time::Instant;
 
 use ihtl_apps::engine::{build_engine, EngineKind};
 use ihtl_apps::pagerank::pagerank;
+use ihtl_bench::baselines::Column;
 use ihtl_core::IhtlConfig;
 use ihtl_gen::rmat::{rmat_edges, RmatParams};
 use ihtl_gen::shuffle_vertex_ids;
@@ -49,14 +49,14 @@ fn main() {
     let cfg = IhtlConfig { cache_budget_bytes: 1 << 20, ..IhtlConfig::default() };
 
     println!("## Figure 7 (memory-bound scale) — PageRank ms/iteration\n");
-    for kind in [
-        EngineKind::PushGraphIt,
-        EngineKind::PullGraphGrind,
-        EngineKind::PullGalois,
-        EngineKind::Ihtl,
+    for column in [
+        Column::PushGraphIt,
+        Column::Engine(EngineKind::PullGraphGrind),
+        Column::PullGalois,
+        Column::Engine(EngineKind::Ihtl),
     ] {
         let t = Instant::now();
-        let mut engine = build_engine(kind, &graph, &cfg);
+        let mut engine = column.build(&graph, &cfg);
         let preproc = t.elapsed().as_secs_f64();
         let run = pagerank(engine.as_mut(), 4);
         println!(

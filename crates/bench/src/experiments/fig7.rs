@@ -1,41 +1,42 @@
 //! Figure 7 — per-iteration PageRank time for push (GraphGrind, GraphIt),
-//! pull (GraphGrind, GraphIt, Galois) and iHTL, plus the average-speedup
-//! summary row — and Table 2, which reprices iHTL's preprocessing time in
-//! units of each framework's SpMV iterations (both tables come from the
-//! same measurement pass).
+//! pull (GraphGrind, GraphIt, Galois), iHTL, PB and the iHTL+PB hybrid,
+//! plus the average-speedup summary row — and Table 2, which reprices
+//! iHTL's preprocessing time in units of each framework's SpMV iterations
+//! (both tables come from the same measurement pass).
 
 use std::time::Instant;
 
-use ihtl_apps::engine::{build_engine, EngineKind};
+use ihtl_apps::engine::EngineKind;
 use ihtl_apps::pagerank::pagerank;
 use ihtl_core::IhtlConfig;
 
+use crate::baselines::Column;
 use crate::datasets::Loaded;
 use crate::experiments::PR_ITERS;
 use crate::table;
 
+const IHTL: Column = Column::Engine(EngineKind::Ihtl);
+
 /// Raw measurements shared by Figure 7 and Table 2.
 pub struct PagerankMatrix {
     pub dataset_keys: Vec<String>,
-    pub engines: Vec<EngineKind>,
-    /// `iter_seconds[d][e]` — mean per-iteration seconds.
+    /// `iter_seconds[d][e]` — mean per-iteration seconds of `Column::FIG7[e]`.
     pub iter_seconds: Vec<Vec<f64>>,
     /// iHTL graph-construction seconds per dataset (Table 2 numerator).
     pub ihtl_preproc_seconds: Vec<f64>,
 }
 
-/// Runs PageRank with every engine on every dataset.
+/// Runs PageRank with every Figure 7 column on every dataset.
 pub fn measure(suite: &[Loaded], cfg: &IhtlConfig) -> PagerankMatrix {
-    let engines = EngineKind::all().to_vec();
     let mut iter_seconds = Vec::with_capacity(suite.len());
     let mut ihtl_preproc = Vec::with_capacity(suite.len());
     for d in suite {
-        let mut row = Vec::with_capacity(engines.len());
-        for &kind in &engines {
+        let mut row = Vec::with_capacity(Column::FIG7.len());
+        for column in Column::FIG7 {
             let t = Instant::now();
-            let mut engine = build_engine(kind, &d.graph, cfg);
+            let mut engine = column.build(&d.graph, cfg);
             let preproc = t.elapsed().as_secs_f64();
-            if kind == EngineKind::Ihtl {
+            if column == IHTL {
                 ihtl_preproc.push(preproc);
             }
             let run = pagerank(engine.as_mut(), PR_ITERS);
@@ -43,7 +44,7 @@ pub fn measure(suite: &[Loaded], cfg: &IhtlConfig) -> PagerankMatrix {
             eprintln!(
                 "[fig7] {:>9} {:<16} iter {:>9} preproc {:>8}",
                 d.spec.key,
-                kind.label(),
+                column.label(),
                 table::ms(run.mean_iter_seconds()),
                 table::ms(preproc),
             );
@@ -52,7 +53,6 @@ pub fn measure(suite: &[Loaded], cfg: &IhtlConfig) -> PagerankMatrix {
     }
     PagerankMatrix {
         dataset_keys: suite.iter().map(|d| d.spec.key.to_string()).collect(),
-        engines,
         iter_seconds,
         ihtl_preproc_seconds: ihtl_preproc,
     }
@@ -61,21 +61,20 @@ pub fn measure(suite: &[Loaded], cfg: &IhtlConfig) -> PagerankMatrix {
 /// Renders Figure 7: per-iteration times (ms) and average speedups vs iHTL.
 pub fn render_fig7(m: &PagerankMatrix) -> String {
     let mut headers: Vec<&str> = vec!["dataset"];
-    headers.extend(m.engines.iter().map(|e| e.label()));
+    headers.extend(Column::FIG7.map(Column::label));
     let mut rows = Vec::new();
     for (d, key) in m.dataset_keys.iter().enumerate() {
         let mut row = vec![key.clone()];
-        for e in 0..m.engines.len() {
+        for e in 0..Column::FIG7.len() {
             row.push(table::ms(m.iter_seconds[d][e]));
         }
         rows.push(row);
     }
     // Average-speedup summary row (geometric mean of baseline/iHTL ratios),
     // matching the paper's "Avg. Speedup" row.
-    let ihtl_idx =
-        m.engines.iter().position(|&e| e == EngineKind::Ihtl).expect("iHTL engine missing");
+    let ihtl_idx = Column::FIG7.iter().position(|&c| c == IHTL).expect("iHTL column missing");
     let mut summary = vec!["avg speedup vs iHTL".to_string()];
-    for e in 0..m.engines.len() {
+    for e in 0..Column::FIG7.len() {
         if e == ihtl_idx {
             summary.push("1×".to_string());
             continue;
@@ -97,17 +96,17 @@ pub fn render_fig7(m: &PagerankMatrix) -> String {
 /// pull traversal of each framework (and of iHTL itself).
 pub fn render_table2(m: &PagerankMatrix) -> String {
     let cols = [
-        ("GraphGrind", EngineKind::PullGraphGrind),
-        ("GraphIt", EngineKind::PullGraphIt),
-        ("Galois", EngineKind::PullGalois),
-        ("iHTL", EngineKind::Ihtl),
+        ("GraphGrind", Column::Engine(EngineKind::PullGraphGrind)),
+        ("GraphIt", Column::PullGraphIt),
+        ("Galois", Column::PullGalois),
+        ("iHTL", IHTL),
     ];
     let mut rows = Vec::new();
     let mut col_ratios: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
     for (d, key) in m.dataset_keys.iter().enumerate() {
         let mut row = vec![key.clone()];
-        for (c, (_, kind)) in cols.iter().enumerate() {
-            let e = m.engines.iter().position(|k| k == kind).unwrap();
+        for (c, (_, column)) in cols.iter().enumerate() {
+            let e = Column::FIG7.iter().position(|k| k == column).unwrap();
             let iters = m.ihtl_preproc_seconds[d] / m.iter_seconds[d][e];
             col_ratios[c].push(iters);
             row.push(format!("{iters:.1}"));

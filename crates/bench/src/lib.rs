@@ -7,6 +7,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod baselines;
 pub mod datasets;
 pub mod experiments;
 pub mod table;

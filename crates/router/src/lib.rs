@@ -16,7 +16,7 @@
 //! `+0.0`, which would destroy a worker-computed `-0.0` bitwise). The
 //! merged vector is therefore bitwise-equal to a single-node run for any
 //! engine whose row fold matches the full-graph CSC row order
-//! (`pull_grind`, `pull_galois`, `pb`), because a shard's owned rows are
+//! (`pull_grind`, `pb`), because a shard's owned rows are
 //! verbatim slices of the full graph's rows.
 //!
 //! Locking: the placement table is a leaf `RwLock` and every entry is

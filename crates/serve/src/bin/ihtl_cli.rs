@@ -31,12 +31,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec { name: "edgelist", value: Some("PATH"), help: "register: text edge-list file" },
     FlagSpec { name: "graph-image", value: Some("PATH"), help: "register: IHTLGRPH binary image" },
     FlagSpec { name: "ihtl-image", value: Some("PATH"), help: "register: IHTLBLK2 iHTL image" },
-    FlagSpec {
-        name: "engine",
-        value: Some("E"),
-        help:
-            "job: ihtl|pull_grind|pull_graphit|pull_galois|push_grind|push_graphit|pb|hybrid|auto",
-    },
+    FlagSpec { name: "engine", value: Some("E"), help: "job: ihtl|pull_grind|pb|hybrid|auto" },
     FlagSpec { name: "iters", value: Some("N"), help: "job: iterations (pagerank/spmv/compare)" },
     FlagSpec { name: "source", value: Some("V"), help: "job: source vertex (bfs/sssp)" },
     FlagSpec { name: "max-rounds", value: Some("N"), help: "job: round cap (sssp/cc)" },

@@ -275,10 +275,6 @@ pub fn engine_wire_name(kind: EngineKind) -> &'static str {
     match kind {
         EngineKind::Ihtl => "ihtl",
         EngineKind::PullGraphGrind => "pull_grind",
-        EngineKind::PullGraphIt => "pull_graphit",
-        EngineKind::PullGalois => "pull_galois",
-        EngineKind::PushGraphGrind => "push_grind",
-        EngineKind::PushGraphIt => "push_graphit",
         EngineKind::Pb => "pb",
         EngineKind::Hybrid => "hybrid",
     }
@@ -823,19 +819,9 @@ mod tests {
 
     #[test]
     fn unknown_engine_error_lists_valid_names() {
-        let err = engine_from_str("gpu").unwrap_err();
-        for name in [
-            "ihtl",
-            "pull_grind",
-            "pull_graphit",
-            "pull_galois",
-            "push_grind",
-            "push_graphit",
-            "pb",
-            "hybrid",
-            "auto",
-        ] {
-            assert!(err.contains(name), "error should list '{name}': {err}");
+        for name in ["gpu", "pull_graphit", "pull_galois", "push_grind", "push_graphit"] {
+            let err = engine_from_str(name).unwrap_err();
+            assert!(err.ends_with("(valid engines: ihtl, pull_grind, pb, hybrid, auto)"), "{err}");
         }
     }
 

@@ -356,7 +356,9 @@ impl Dataset {
                     (0..g.n_vertices() as u32).map(|v| g.out_degree(v) as u32).collect();
                 Ok(Box::new(pb_engine_from_shared(self.pb_graph(reg)?, out_degrees)))
             }
-            (_, Some(g)) => Ok(build_engine_shared(kind, Arc::clone(g), reg.cfg())),
+            (EngineKind::PullGraphGrind, Some(g)) => {
+                Ok(build_engine_shared(kind, Arc::clone(g), reg.cfg()))
+            }
             (_, None) => Err(format!(
                 "dataset '{}' was registered from an iHTL image; only the 'ihtl' engine can \
                  serve it",
@@ -885,8 +887,8 @@ mod tests {
             })
             .unwrap();
         assert_eq!(ranks.len(), 8);
-        // Baselines need the raw graph — clear error, no panic.
-        assert!(ds.with_engine(EngineKind::PullGalois, false, &r, |_| ()).is_err());
+        // Pull needs the raw graph — clear error, no panic.
+        assert!(ds.with_engine(EngineKind::PullGraphGrind, false, &r, |_| ()).is_err());
         assert!(ds.with_engine(EngineKind::Ihtl, true, &r, |_| ()).is_err());
         std::fs::remove_file(&path).ok();
     }

@@ -44,7 +44,7 @@ pub struct ServeStats {
     /// configured idle timeout.
     pub idle_disconnects: AtomicU64,
     latency: [AtomicU64; LATENCY_BUCKETS],
-    engines: [EngineAccum; 8],
+    engines: [EngineAccum; 4],
     /// Coalesced SpMM chunks executed (one count per edge sweep).
     batch_runs: AtomicU64,
     /// Queries served by those chunks (Σ occupancy).
@@ -60,10 +60,14 @@ pub fn bump(counter: &AtomicU64, by: u64) {
     counter.fetch_add(by, Ordering::Relaxed);
 }
 
+/// The accumulator slot of `kind`: its index in `EngineKind::all()`.
 fn engine_slot(kind: EngineKind) -> usize {
-    // `all()` enumerates every variant; the fallback to slot 0 is dead code
-    // kept so the stats path stays panic-free (lint rule R3).
-    EngineKind::all().iter().position(|&k| k == kind).unwrap_or(0)
+    match kind {
+        EngineKind::Ihtl => 0,
+        EngineKind::PullGraphGrind => 1,
+        EngineKind::Pb => 2,
+        EngineKind::Hybrid => 3,
+    }
 }
 
 impl ServeStats {
@@ -203,8 +207,8 @@ mod tests {
 
     #[test]
     fn every_engine_kind_has_a_distinct_slot() {
-        // Regression guard: the accumulator array must track
-        // `EngineKind::all()` (it silently aliases slot 0 otherwise).
+        // Regression guard: the slots must follow `EngineKind::all()`
+        // one to one (two kinds sharing a slot would merge their numbers).
         let s = ServeStats::default();
         for (i, &kind) in EngineKind::all().iter().enumerate() {
             assert_eq!(engine_slot(kind), i);

@@ -2,8 +2,8 @@
 //! motivates: a skewed follower graph where a handful of celebrity accounts
 //! (in-hubs) receive most of the edges and wreck pull-traversal locality.
 //!
-//! Compares every baseline traversal against iHTL on a Twitter-like graph
-//! and shows where the edges (and the time) go.
+//! Compares every served engine (pull, iHTL, PB, hybrid) on a Twitter-like
+//! graph and shows where the edges (and the time) go.
 //!
 //! ```text
 //! cargo run --release --example social_pagerank
@@ -43,7 +43,7 @@ fn main() {
         100.0 * ihtl.stats().fb_edge_fraction()
     );
 
-    println!("\nPageRank, 10 iterations, every traversal strategy:");
+    println!("\nPageRank, 10 iterations, every served engine:");
     let mut baseline_ranks: Option<Vec<f64>> = None;
     for kind in EngineKind::all() {
         let mut engine = build_engine(kind, &graph, &cfg);
@@ -58,5 +58,5 @@ fn main() {
             }
         }
     }
-    println!("\nall six engines agree on the ranks to within 1e-10 ✓");
+    println!("\nall four engines agree on the ranks to within 1e-10 ✓");
 }

@@ -42,6 +42,10 @@ IHTL_THREADS=4 IHTL_SHUFFLE_SEEDS=64 cargo test -q --offline --test shuffle_race
 echo "==> cargo run --offline --release --example quickstart"
 cargo run --offline --release --example quickstart
 
+# The only run of Figure 7's framework baselines (crates/bench/src/baselines.rs).
+echo "==> IHTL_SUITE=small cargo run --offline --release -p ihtl-bench --bin fig7_pagerank"
+IHTL_SUITE=small cargo run --offline --release -p ihtl-bench --bin fig7_pagerank > /dev/null
+
 echo "==> scripts/serve_smoke.sh (serving-layer cold-start smoke test)"
 bash scripts/serve_smoke.sh
 
@@ -69,4 +73,4 @@ bash bench/run.sh --workload sweep_thrash --seed 1 --seconds 3 --trace 0
 echo "==> bench/run.sh --workload serve_mixed --seed 1 --seconds 3 --trace 0 (ledger smoke, serving mix)"
 bash bench/run.sh --workload serve_mixed --seed 1 --seconds 3 --trace 0
 
-echo "OK: hermetic build, workspace tests (1/default/4 threads), fmt, lint (R1-R7 + baseline), 64-seed shuffle sweep, quickstart, serve smoke, store smoke, shard smoke, ledger smokes (sweep_resident, sweep_thrash, serve_mixed)"
+echo "OK: hermetic build, workspace tests (1/default/4 threads), fmt, lint (R1-R7 + baseline), 64-seed shuffle sweep, quickstart, fig7 small-suite smoke, serve smoke, store smoke, shard smoke, ledger smokes (sweep_resident, sweep_thrash, serve_mixed)"

@@ -258,7 +258,7 @@ fn protocol_errors_keep_the_connection_usable() {
     // Engine A/B comparison over the wire: every engine agrees.
     let cmp = c.ok("{\"op\":\"job\",\"dataset\":\"g\",\"kind\":\"compare\",\"iters\":5}");
     let engines = cmp.get("engines").and_then(Json::as_arr).expect("engines");
-    assert_eq!(engines.len(), 8, "all eight engines (six paper + pb + hybrid) must report");
+    assert_eq!(engines.len(), 4, "all four engines (pull, ihtl, pb, hybrid) must report");
     let max_diff = cmp.get("max_abs_diff").and_then(Json::as_f64).expect("max_abs_diff");
     assert!(max_diff < 1e-9, "engines disagree: {max_diff}");
 
@@ -280,17 +280,7 @@ fn unknown_engine_error_lists_the_full_vocabulary() {
          \"engine\":\"gpu\"}",
     );
     assert!(msg.contains("unknown engine 'gpu'"), "{msg}");
-    for name in [
-        "ihtl",
-        "pull_grind",
-        "pull_graphit",
-        "pull_galois",
-        "push_grind",
-        "push_graphit",
-        "pb",
-        "hybrid",
-        "auto",
-    ] {
+    for name in ["ihtl", "pull_grind", "pb", "hybrid", "auto"] {
         assert!(msg.contains(name), "error must list '{name}': {msg}");
     }
     // The connection survives the protocol error.

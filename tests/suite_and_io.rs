@@ -65,8 +65,8 @@ fn graph_binary_roundtrip_through_analytics() {
     let loaded = graph_io::load_graph(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
-    let mut a = build_engine(EngineKind::PullGalois, &g, &cfg());
-    let mut b = build_engine(EngineKind::PullGalois, &loaded, &cfg());
+    let mut a = build_engine(EngineKind::PullGraphGrind, &g, &cfg());
+    let mut b = build_engine(EngineKind::PullGraphGrind, &loaded, &cfg());
     let ra = pagerank(a.as_mut(), 5);
     let rb = pagerank(b.as_mut(), 5);
     assert_close(&ra.ranks, &rb.ranks, 0.0, "graph io roundtrip");
